@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from quivalg import adjunction as adj
 from quivalg import algebra as alg
 from quivalg import bound, corpus
+from quivalg.errors import QuivalgError
 
 
 @dataclass
@@ -48,7 +49,7 @@ def run(config: SuiteConfig) -> bool:
                 print(f"{'PASS' if good else 'FAIL'} {name}:presentation "
                       f"kernel dim {pres.kernel.dim}, m = {pres.admissible_m}")
                 ok &= good
-            except Exception as exc:
+            except QuivalgError as exc:
                 print(f"FAIL {name}:presentation {type(exc).__name__}: {exc}")
                 ok = False
     print("all checks passed" if ok else "FAILURES above")

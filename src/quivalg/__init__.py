@@ -87,6 +87,7 @@ from .linalg import (
     curry,
     curry_roundtrip,
     double_dual_naturality,
+    products_within,
     quotient_basis,
     subspace_contains,
     subspace_intersect,

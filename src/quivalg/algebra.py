@@ -39,8 +39,8 @@ from .linalg import (
     frac,
     full_subspace,
     is_zero_vec,
+    products_within,
     quotient_basis,
-    subspace_contains,
     unit_vec,
     vec,
     vec_add,
@@ -87,13 +87,15 @@ class SCAlgebra:
 
     def mul_vec(self, x: Sequence, y: Sequence) -> Vec:
         out = [ZERO] * self.dim
+        mult = self.mult
+        # most zeros are the shared ZERO: the identity test is much cheaper
+        # than Fraction.__bool__, which still catches any other zero
+        ys = [(j, yj) for j, yj in enumerate(y) if yj is not ZERO and yj]
         for i, xi in enumerate(x):
-            if xi == 0:
+            if xi is ZERO or not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                d = self.mult.get((i, j))
+            for j, yj in ys:
+                d = mult.get((i, j))
                 if not d:
                     continue
                 c = xi * yj
@@ -428,10 +430,9 @@ def radical(a: SCAlgebra) -> RadicalFiltration:
         powers.append(nxt)
     full = powers[0]
     for s in powers[1:]:
-        if not subspace_contains(s, bilinear_image(a.mul_vec, full, s)) or not (
-            subspace_contains(s, bilinear_image(a.mul_vec, s, full))
-        ):
-            raise QuivalgError("radical power is not a two-sided ideal")
+        for left, right in ((full, s), (s, full)):
+            if not products_within(a.mul_vec, left, right, s):
+                raise QuivalgError("radical power is not a two-sided ideal")
     filt = RadicalFiltration(a, tuple(powers))
     _radical_cache[a] = filt
     return filt
@@ -734,7 +735,7 @@ def validate_hom(f: AlgebraHom, check_radical_image: bool = True) -> AlgebraHom:
             lhs = [ZERO] * b.dim
             for k, c in a.mul_basis(i, j).items():
                 for m, t in enumerate(cols[k]):
-                    if t != 0:
+                    if t:
                         lhs[m] += c * t
             if tuple(lhs) != b.mul_vec(cols[i], cols[j]):
                 raise ValidationError(
@@ -767,11 +768,8 @@ def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraH
     full = a.full_space()
     if ideal.dim >= a.dim and a.dim > 0:
         raise ValidationError("cannot quotient by the whole algebra")
-    for check in (
-        bilinear_image(a.mul_vec, full, ideal),
-        bilinear_image(a.mul_vec, ideal, full),
-    ):
-        if not subspace_contains(ideal, check):
+    for left, right in ((full, ideal), (ideal, full)):
+        if not products_within(a.mul_vec, left, right, ideal):
             raise ValidationError("subspace is not a two-sided ideal")
     reps = quotient_basis(full, ideal)
     r = len(reps)

@@ -139,13 +139,8 @@ class AdmissibilityReport:
         return self.admissible
 
 
-def check_admissible(r: RelationSet) -> AdmissibilityReport:
-    """Decide R_Q^m <= I <= R_Q^2 inside the truncation at max_len.
-
-    The least m <= max_len with R_Q^m contained in the closure is returned;
-    if the containment only holds vacuously at max_len + 1 the answer is
-    "undetermined, raise M".
-    """
+def _admissibility(r: RelationSet) -> tuple[AdmissibilityReport, SCAlgebra, Subspace]:
+    """The admissibility report with the truncation and ideal closure behind it."""
     t = truncated_path_algebra(r.quiver, r.max_len)
     ideal = ideal_closure(t, [relation_vector(t, rel) for rel in r.relations])
     r_square = path_length_span(t, 2)
@@ -157,7 +152,17 @@ def check_admissible(r: RelationSet) -> AdmissibilityReport:
             break
     admissible = inside and m is not None and m <= r.max_len
     undetermined = inside and not admissible
-    return AdmissibilityReport(admissible, m, inside, undetermined)
+    return AdmissibilityReport(admissible, m, inside, undetermined), t, ideal
+
+
+def check_admissible(r: RelationSet) -> AdmissibilityReport:
+    """Decide R_Q^m <= I <= R_Q^2 inside the truncation at max_len.
+
+    The least m <= max_len with R_Q^m contained in the closure is returned;
+    if the containment only holds vacuously at max_len + 1 the answer is
+    "undetermined, raise M".
+    """
+    return _admissibility(r)[0]
 
 
 def bound_algebra(r: RelationSet) -> tuple[SCAlgebra, AlgebraHom]:
@@ -167,15 +172,13 @@ def bound_algebra(r: RelationSet) -> tuple[SCAlgebra, AlgebraHom]:
     the quotient is canonically kQ/I.  The quotient basis keeps its path
     bookkeeping, so representation conversion works on bound algebras.
     """
-    report = check_admissible(r)
+    report, t, ideal = _admissibility(r)
     if not report.admissible:
         detail = "undetermined within the bound, raise M" if report.undetermined else (
             "ideal is not inside the arrow-ideal square" if not report.inside_square
             else "no power of the arrow ideal falls inside"
         )
         raise InadmissibleIdeal(f"relation set is not admissible: {detail}")
-    t = truncated_path_algebra(r.quiver, r.max_len)
-    ideal = ideal_closure(t, [relation_vector(t, rel) for rel in r.relations])
     quotient, proj = quotient_algebra(t, ideal)
     if quotient.paths is None:
         raise QuivalgError("bound algebra lost its path bookkeeping")

@@ -383,6 +383,6 @@ def run_gallery() -> list[tuple[str, bool, str]]:
         try:
             detail = item.run()
             results.append((item.item_id, True, detail))
-        except Exception as exc:
+        except QuivalgError as exc:
             results.append((item.item_id, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -5,6 +5,19 @@ results are bit-exact and subspace equality is literal equality of the unique
 reduced-row-echelon basis.  Vectors are plain tuples of Fractions; subspace
 bases are stored as matrix *rows*.
 
+All elimination happens in one place, the sparse echelon accumulator
+``_Echelon``.  It keeps rows as ``{column: Fraction}`` dicts keyed by pivot,
+reduces each incoming vector on insertion and drops it when it reduces to
+zero, stops taking vectors once the rank equals the ambient dimension, and
+back-substitutes once at the end to give the unique RREF.  ``Matrix.rref``,
+``rank``, ``nullspace``, ``solve``, ``inverse``, ``canonicalize``,
+``subspace_sum``, ``bilinear_image`` and ``quotient_basis`` all run through
+it.  Its outputs are wrapped by the trusted ``Matrix._trusted`` constructor,
+which skips the entry coercion of the public ``Matrix(...)``.  A
+``Subspace`` computes its pivots and sparse rows once, so membership tests
+(``contains_vector``, ``subspace_contains``, ``products_within``) reduce
+against them without building new subspaces.
+
 Conventions fixed here and used by every other module:
 
 * subspaces are always kept in RREF with the natural column order; this is
@@ -14,7 +27,7 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -22,6 +35,7 @@ from .errors import DimensionMismatch, QuivalgError
 
 Scalar = Fraction
 Vec = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,7 +73,146 @@ def vec_scale(c: Fraction, x: Vec) -> Vec:
 
 
 def is_zero_vec(x: Vec) -> bool:
-    return all(a == 0 for a in x)
+    return not any(x)
+
+
+# ---------------------------------------------------------------------------
+# the echelon kernel
+# ---------------------------------------------------------------------------
+
+
+def _sparse(v: Sequence) -> SparseRow:
+    """The nonzero entries of a dense vector as {column: Fraction}.
+
+    Most zeros are the shared ``ZERO``; the identity test skips them without
+    a call to ``Fraction.__bool__``.
+    """
+    out = {}
+    for j, x in enumerate(v):
+        if x is not ZERO and x:
+            if type(x) is not Fraction:
+                x = Fraction(x)
+                if not x:
+                    continue
+            out[j] = x
+    return out
+
+
+def _axpy(v: SparseRow, row: SparseRow, c: Fraction) -> None:
+    """v -= c * row in place, dropping entries that cancel."""
+    for j, x in row.items():
+        y = v.get(j)
+        if y is None:
+            v[j] = -c * x
+        else:
+            y -= c * x
+            if y:
+                v[j] = y
+            else:
+                del v[j]
+
+
+def _reduce(v: SparseRow, rows: dict[int, SparseRow], order: Sequence[int]) -> None:
+    """Reduce v in place by echelon rows, taking pivots in ascending order.
+
+    A row only has entries at or right of its pivot, so one ascending pass
+    clears every pivot column of v.
+    """
+    for p in order:
+        c = v.get(p)
+        if c:
+            _axpy(v, rows[p], c)
+
+
+def _dense(row: SparseRow, n: int) -> Vec:
+    out = [ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+class _Echelon:
+    """Sparse row-echelon accumulator; the only code in quivalg that eliminates.
+
+    ``rows`` maps each pivot column to its row, a ``{column: Fraction}`` dict
+    whose pivot entry is 1; ``order`` lists the pivots ascending.  Rows are
+    reduced against earlier pivots only; ``reduced`` back-substitutes once.
+    """
+
+    __slots__ = ("n", "rows", "order")
+
+    def __init__(self, n: int, seed: "Subspace | None" = None):
+        self.n = n
+        if seed is None:
+            self.rows: dict[int, SparseRow] = {}
+            self.order: list[int] = []
+        else:
+            self.rows = dict(seed._rows)
+            self.order = list(seed.pivots)
+
+    @property
+    def full(self) -> bool:
+        return len(self.order) == self.n
+
+    def add(self, v: Sequence) -> bool:
+        """Reduce a dense vector and keep it if independent; True when kept."""
+        if len(v) != self.n:
+            raise DimensionMismatch(
+                f"vector of length {len(v)} in ambient dimension {self.n}"
+            )
+        r = _sparse(v)
+        _reduce(r, self.rows, self.order)
+        if not r:
+            return False
+        p = min(r)
+        c = r[p]
+        if c != 1:
+            for j, x in r.items():
+                r[j] = x / c
+        self.rows[p] = r
+        order = self.order
+        order.append(p)
+        if len(order) > 1 and order[-2] > p:
+            order.sort()
+        return True
+
+    def extend(self, vectors: Iterable[Sequence]) -> "_Echelon":
+        """Add vectors until the span is full; later vectors are never read."""
+        if not self.full:
+            for v in vectors:
+                self.add(v)
+                if self.full:
+                    break
+        return self
+
+    def reduced(self) -> dict[int, SparseRow]:
+        """The RREF rows keyed by ascending pivot (one back-substitution).
+
+        Rows are cleared highest pivot first, so every row subtracted is
+        already reduced and touches no other pivot column.
+        """
+        rows = self.rows
+        out: dict[int, SparseRow] = {}
+        for p in reversed(self.order):
+            row = rows[p]
+            hits = [q for q in row if q != p and q in rows]
+            if hits:
+                row = dict(row)
+                for q in hits:
+                    _axpy(row, out[q], row[q])
+            out[p] = row
+        return {p: out[p] for p in self.order}
+
+    def subspace(self) -> "Subspace":
+        rows = self.reduced()
+        n = self.n
+        basis = Matrix._trusted(len(rows), n, tuple(_dense(r, n) for r in rows.values()))
+        return Subspace(n, basis, tuple(rows), rows)
+
+
+# ---------------------------------------------------------------------------
+# matrices
+# ---------------------------------------------------------------------------
 
 
 class Matrix:
@@ -76,6 +229,15 @@ class Matrix:
             self, "entries", tuple(tuple(frac(x) for x in r) for r in entries)
         )
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[Vec, ...]) -> "Matrix":
+        """Wrap a tuple of Fraction tuples as is: no shape check, no coercion."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -90,11 +252,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, (zero_vec(cols),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, tuple(unit_vec(n, i) for i in range(n)))
 
     def __eq__(self, other):
         return (
@@ -122,18 +284,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
-            [vec_add(a, b) for a, b in zip(self.entries, other.entries)],
+            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
-            [vec_sub(a, b) for a, b in zip(self.entries, other.entries)],
+            tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -142,18 +304,21 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = [other.col(j) for j in range(other.cols)]
-        out = [
-            [sum((a * b for a, b in zip(r, c)), ZERO) for c in cols]
+        out = tuple(
+            tuple(sum((a * b for a, b in zip(r, c)), ZERO) for c in cols)
             for r in self.entries
-        ]
-        return Matrix(self.rows, other.cols, out)
+        )
+        return Matrix._trusted(self.rows, other.cols, out)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, [vec_scale(c, r) for r in self.entries])
+        return Matrix._trusted(
+            self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries)
+        )
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, list(zip(*self.entries)) or [[]] * self.cols)
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._trusted(self.cols, self.rows, entries)
 
     def apply(self, v: Sequence) -> Vec:
         """Matrix times column vector; skips zero entries of the vector."""
@@ -162,11 +327,11 @@ class Matrix:
             raise DimensionMismatch(f"vector of length {len(v)} vs {self.cols} columns")
         out = [ZERO] * self.rows
         for j, c in enumerate(v):
-            if c == 0:
+            if not c:
                 continue
             for i, row in enumerate(self.entries):
                 e = row[j]
-                if e != 0:
+                if e:
                     out[i] += c * e
         return tuple(out)
 
@@ -177,43 +342,33 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix shapes differ")
 
+    def _reduced_rows(self) -> dict[int, SparseRow]:
+        return _Echelon(self.cols).extend(self.entries).reduced()
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and the pivot column indices."""
-        rows = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(n):
-            pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Matrix(m, n, rows), tuple(pivots)
+        rows = self._reduced_rows()
+        n = self.cols
+        entries = tuple(_dense(r, n) for r in rows.values())
+        entries += (zero_vec(n),) * (self.rows - len(rows))
+        return Matrix._trusted(self.rows, n, entries), tuple(rows)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_Echelon(self.cols).extend(self.entries).order)
 
     def nullspace(self) -> list[Vec]:
         """Basis of {x : M x = 0} (column-vector kernel)."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
+        rows = self._reduced_rows()
         basis = []
-        for f in free:
+        for f in range(self.cols):
+            if f in rows:
+                continue
             x = [ZERO] * self.cols
             x[f] = ONE
-            for i, p in enumerate(pivots):
-                x[p] = -red.entries[i][f]
+            for p, r in rows.items():
+                c = r.get(f)
+                if c:
+                    x[p] = -c
             basis.append(tuple(x))
         return basis
 
@@ -222,30 +377,32 @@ class Matrix:
         b = vec(b)
         if len(b) != self.rows:
             raise DimensionMismatch("right-hand side length mismatch")
-        aug = Matrix(
-            self.rows, self.cols + 1, [r + (val,) for r, val in zip(self.entries, b)]
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        n = self.cols
+        acc = _Echelon(n + 1).extend(r + (val,) for r, val in zip(self.entries, b))
+        if n in acc.rows:
             return None
-        x = [ZERO] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = red.entries[i][self.cols]
+        x = [ZERO] * n
+        for p, r in acc.reduced().items():
+            x[p] = r.get(n, ZERO)
         return tuple(x)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
         n = self.rows
-        aug = Matrix(
-            n, 2 * n,
-            [r + tuple(ONE if j == i else ZERO for j in range(n))
-             for i, r in enumerate(self.entries)],
+        acc = _Echelon(2 * n).extend(
+            r + unit_vec(n, i) for i, r in enumerate(self.entries)
         )
-        red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
+        if acc.order != list(range(n)):
             raise QuivalgError("matrix is singular")
-        return Matrix(n, n, [r[n:] for r in red.entries])
+        inv = []
+        for r in acc.reduced().values():
+            out = [ZERO] * n
+            for j, x in r.items():
+                if j >= n:
+                    out[j - n] = x
+            inv.append(tuple(out))
+        return Matrix._trusted(n, n, tuple(inv))
 
 
 def vstack(ms: Sequence[Matrix]) -> Matrix:
@@ -255,50 +412,62 @@ def vstack(ms: Sequence[Matrix]) -> Matrix:
         if m.cols != cols:
             raise DimensionMismatch("vstack needs equal column counts")
         rows.extend(m.entries)
-    return Matrix(len(rows), cols, rows)
+    return Matrix._trusted(len(rows), cols, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# subspaces
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held by its unique RREF row basis."""
+    """A subspace of Q^n held by its unique RREF row basis.
+
+    ``pivots`` and the sparse rows are computed once, at construction; the
+    echelon kernel passes them in directly.
+    """
 
     ambient_dim: int
     basis: Matrix
+    pivots: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    _rows: dict[int, SparseRow] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._rows is None:
+            rows = {}
+            for r in self.basis.entries:
+                s = _sparse(r)
+                rows[min(s)] = s
+            object.__setattr__(self, "_rows", rows)
+            object.__setattr__(self, "pivots", tuple(rows))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(
-            next(j for j in range(self.ambient_dim) if r[j] == 1)
-            for r in self.basis.entries
-        )
-
     def basis_rows(self) -> tuple[Vec, ...]:
         return self.basis.entries
 
+    def _residual(self, v: Sequence) -> SparseRow:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("ambient dimension mismatch")
+        r = _sparse(v)
+        _reduce(r, self._rows, self.pivots)
+        return r
+
     def contains_vector(self, v: Sequence) -> bool:
-        return self.coordinates_of(v) is not None
+        return not self._residual(v)
 
     def coordinates_of(self, v: Sequence) -> Vec | None:
         """Coefficients of v over the RREF basis rows, or None if outside.
 
         Because the basis is in RREF the candidate coefficients can be read
-        off the pivot columns; one reconstruction verifies membership.
+        off the pivot columns; reducing by the cached rows verifies membership.
         """
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("ambient dimension mismatch")
-        coeffs = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, row in zip(coeffs, self.basis.entries):
-            if c != 0:
-                residual = [a - c * b for a, b in zip(residual, row)]
-        if any(x != 0 for x in residual):
+        if self._residual(v):
             return None
-        return coeffs
+        return tuple(frac(v[p]) for p in self.pivots)
 
     def __contains__(self, v) -> bool:
         return self.contains_vector(v)
@@ -306,16 +475,13 @@ class Subspace:
 
 def canonicalize(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """The unique RREF-basis subspace spanning the given vectors."""
-    rows = [vec(v) for v in vectors]
+    rows = list(vectors)
     for r in rows:
         if len(r) != ambient_dim:
             raise DimensionMismatch(
                 f"vector of length {len(r)} in ambient dimension {ambient_dim}"
             )
-    if not rows:
-        return Subspace(ambient_dim, Matrix(0, ambient_dim, []))
-    red, pivots = Matrix(len(rows), ambient_dim, rows).rref()
-    return Subspace(ambient_dim, Matrix(len(pivots), ambient_dim, red.entries[: len(pivots)]))
+    return _Echelon(ambient_dim).extend(rows).subspace()
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
@@ -333,7 +499,7 @@ def _check_same_ambient(u: Subspace, w: Subspace):
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     _check_same_ambient(u, w)
-    return canonicalize(u.basis_rows() + w.basis_rows(), u.ambient_dim)
+    return _Echelon(u.ambient_dim, u).extend(w.basis_rows()).subspace()
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
@@ -353,7 +519,7 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
         a = k[: u.dim]
         v = zero_vec(u.ambient_dim)
         for c, row in zip(a, u.basis_rows()):
-            if c != 0:
+            if c:
                 v = vec_add(v, vec_scale(c, row))
         vectors.append(v)
     return canonicalize(vectors, u.ambient_dim)
@@ -369,19 +535,14 @@ def quotient_basis(u: Subspace, w: Subspace) -> list[Vec]:
     """Vectors of u completing a basis of w to a basis of u.
 
     Deterministic RREF-pivot completion: walk u's RREF rows in order and keep
-    the ones independent of w and of the rows already kept.  Returns exactly
-    dim(u) - dim(w) vectors.
+    the ones independent of w and of the rows already kept (one echelon pass
+    seeded with w).  Returns exactly dim(u) - dim(w) vectors.
     """
     _check_same_ambient(u, w)
     if not subspace_contains(u, w):
         raise QuivalgError("quotient_basis requires w to be a subspace of u")
-    kept: list[Vec] = []
-    span = w
-    for row in u.basis_rows():
-        if not span.contains_vector(row):
-            kept.append(row)
-            span = subspace_sum(span, canonicalize([row], u.ambient_dim))
-    return kept
+    span = _Echelon(u.ambient_dim, w)
+    return [row for row in u.basis_rows() if span.add(row)]
 
 
 def _as_bilinear(mult, ambient_dim: int) -> Callable[[Vec, Vec], Vec]:
@@ -396,14 +557,14 @@ def _as_bilinear(mult, ambient_dim: int) -> Callable[[Vec, Vec], Vec]:
     def product(x: Vec, y: Vec) -> Vec:
         out = [ZERO] * ambient_dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if yj == 0:
+                if not yj:
                     continue
                 c = xi * yj
                 for k, t in enumerate(tensor[i][j]):
-                    if t != 0:
+                    if t:
                         out[k] += c * t
         return tuple(out)
 
@@ -411,13 +572,32 @@ def _as_bilinear(mult, ambient_dim: int) -> Callable[[Vec, Vec], Vec]:
 
 
 def bilinear_image(mult, u: Subspace, w: Subspace) -> Subspace:
-    """Span of all products mult(x, y) over basis vectors of u and w."""
+    """Span of all products mult(x, y) over basis vectors of u and w.
+
+    Products are formed lazily and no more are formed once they span the
+    whole ambient space.
+    """
     _check_same_ambient(u, w)
     product = _as_bilinear(mult, u.ambient_dim)
-    vectors = [
-        product(x, y) for x in u.basis_rows() for y in w.basis_rows()
-    ]
-    return canonicalize(vectors, u.ambient_dim)
+    products = (product(x, y) for x in u.basis_rows() for y in w.basis_rows())
+    return _Echelon(u.ambient_dim).extend(products).subspace()
+
+
+def products_within(mult, u: Subspace, w: Subspace, s: Subspace) -> bool:
+    """True iff every product mult(x, y) with x in u and y in w lies in s.
+
+    Equivalent to ``subspace_contains(s, bilinear_image(mult, u, w))``, but
+    each product of basis rows is reduced against s's cached rows and the
+    test stops at the first product outside s.
+    """
+    _check_same_ambient(u, w)
+    _check_same_ambient(u, s)
+    product = _as_bilinear(mult, u.ambient_dim)
+    return all(
+        s.contains_vector(product(x, y))
+        for x in u.basis_rows()
+        for y in w.basis_rows()
+    )
 
 
 def dual_map(m: Matrix) -> Matrix:

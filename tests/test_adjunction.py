@@ -6,8 +6,8 @@ import pytest
 
 from quivalg import adjunction as adj
 from quivalg import algebra as alg
-from quivalg import bound, corpus
-from quivalg.errors import CyclicInput, ValidationError
+from quivalg import bound, corpus, linalg
+from quivalg.errors import CyclicInput, QuivalgError, ValidationError
 from quivalg.linalg import Matrix, canonicalize
 from quivalg.quiver import path_algebra, validate_quiver
 from quivalg.vquiver import (
@@ -233,6 +233,37 @@ class TestTriangles:
         )
         failed = [e for e in report.entries if not e.ok]
         assert report.all_pass, failed
+
+    @staticmethod
+    def _one_case(side):
+        # fresh objects, so no memoized radical hides the patched kernel
+        if side == "vquiver":
+            return corpus.corpus_vquivers(seed=4, count=1), []
+        return [], [("U3", alg.upper_triangular(3))]
+
+    @pytest.mark.parametrize("side", ["vquiver", "algebra"])
+    def test_internal_error_propagates(self, monkeypatch, side):
+        # a programming error in the kernel is a crash, not a mathematical FAIL
+        vquivers, algebras = self._one_case(side)
+
+        def broken(self, v):
+            raise TypeError("kernel bug")
+
+        monkeypatch.setattr(linalg._Echelon, "add", broken)
+        with pytest.raises(TypeError, match="kernel bug"):
+            adj.triangle_identities(vquivers, algebras)
+
+    @pytest.mark.parametrize("side", ["vquiver", "algebra"])
+    def test_mathematical_error_is_reported(self, monkeypatch, side):
+        vquivers, algebras = self._one_case(side)
+
+        def refuses(self, v):
+            raise QuivalgError("refused")
+
+        monkeypatch.setattr(linalg._Echelon, "add", refuses)
+        report = adj.triangle_identities(vquivers, algebras)
+        assert not report.all_pass
+        assert any(e.detail == "QuivalgError: refused" for e in report.entries)
 
     def test_counit_naturality_mod_depth_one(self):
         # eps_B . k[GQ(alpha)] ~ alpha . eps_A for surjective alpha

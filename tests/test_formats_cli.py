@@ -1,7 +1,10 @@
 """Text formats round-trip and the CLI behaves per its exit-code contract."""
 
 import io
+import os
 import pathlib
+import re
+import shutil
 import subprocess
 import sys
 
@@ -285,10 +288,36 @@ class TestCLI:
         assert code == 0 and "algebra dim 4" in out
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def console_script_command(name):
+    """argv prefix running the ``[project.scripts]`` entry point ``name``.
+
+    The installed script when one is on PATH; otherwise the target declared
+    in pyproject.toml, called the way a generated console script calls it.
+    """
+    exe = shutil.which(name)
+    if exe is not None:
+        return [exe], None
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    match = re.search(rf'^{re.escape(name)}\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
+    assert match, f"no [project.scripts] entry for {name}"
+    module, func = match.groups()
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return [sys.executable, "-c", code], env
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        command, env = console_script_command("quivalg")
         result = subprocess.run(
-            ["quivalg", "paper-gallery"], capture_output=True, text=True
+            command + ["paper-gallery"], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout

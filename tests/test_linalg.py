@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from quivalg import linalg
 from quivalg.errors import DimensionMismatch, QuivalgError
 from quivalg.linalg import (
     Matrix,
@@ -17,6 +18,7 @@ from quivalg.linalg import (
     double_dual_naturality,
     dual_map,
     full_subspace,
+    products_within,
     quotient_basis,
     subspace_contains,
     subspace_intersect,
@@ -261,3 +263,183 @@ class TestMatrixCore:
         z = Matrix.zero(0, 3)
         assert z.transpose().rows == 3 and z.transpose().cols == 0
         assert full_subspace(0).dim == 0
+
+
+def dense_rref(entries, m, n):
+    """Test-only oracle: the dense Gauss-Jordan elimination the sparse
+    echelon kernel replaced, kept verbatim apart from its signature."""
+    rows = [[Fraction(x) for x in r] for r in entries]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+rationals = st.one_of(
+    st.just(0), st.just(0), small_entries,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=7, max_cols=5):
+    """(m, n, rows) with zero rows, duplicate and scaled rows, m > n at times."""
+    n = draw(st.integers(min_value=0, max_value=max_cols))
+    base = draw(st.lists(st.tuples(*[rationals] * n), max_size=max_rows))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled"]), max_size=3)):
+        if kind == "zero" or not base:
+            rows.insert(draw(st.integers(0, len(rows))), (0,) * n)
+        else:
+            src = draw(st.sampled_from(base))
+            c = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            rows.insert(draw(st.integers(0, len(rows))), tuple(c * x for x in src))
+    return len(rows), n, rows
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+class TestEchelonKernelAgainstDenseOracle:
+    @settings(max_examples=150)
+    @given(rational_matrices())
+    def test_rref_identical(self, data):
+        m, n, rows = data
+        red, pivots = Matrix(m, n, rows).rref()
+        want_rows, want_pivots = dense_rref(rows, m, n)
+        assert pivots == want_pivots
+        assert red.entries == want_rows
+        assert (red.rows, red.cols) == (m, n)
+        assert all_fractions(red.entries)
+
+    @settings(max_examples=150)
+    @given(rational_matrices())
+    def test_canonicalize_rank_nullspace_identical(self, data):
+        m, n, rows = data
+        want_rows, want_pivots = dense_rref(rows, m, n)
+        k = len(want_pivots)
+        s = canonicalize(rows, n)
+        assert s.basis.entries == want_rows[:k]
+        assert s.pivots == want_pivots
+        assert all_fractions(s.basis.entries)
+        mat = Matrix(m, n, rows)
+        assert mat.rank() == k
+        want_null = []
+        for f in (j for j in range(n) if j not in want_pivots):
+            x = [Fraction(0)] * n
+            x[f] = Fraction(1)
+            for i, p in enumerate(want_pivots):
+                x[p] = -want_rows[i][f]
+            want_null.append(tuple(x))
+        null = mat.nullspace()
+        assert null == want_null
+        assert all_fractions(null)
+
+    @settings(max_examples=100)
+    @given(rational_matrices(), st.data())
+    def test_solve_and_inverse_identical(self, data, draw):
+        m, n, rows = data
+        b = draw.draw(st.tuples(*[rationals] * m))
+        aug_rows, aug_pivots = dense_rref([r + (c,) for r, c in zip(rows, b)], m, n + 1)
+        got = Matrix(m, n, rows).solve(b)
+        if n in aug_pivots:
+            assert got is None
+        else:
+            want = [Fraction(0)] * n
+            for i, p in enumerate(aug_pivots):
+                want[p] = aug_rows[i][n]
+            assert got == tuple(want) and all_fractions([got])
+        if m == n:
+            ident = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+            red, pivots = dense_rref([r + e for r, e in zip(rows, ident)], n, 2 * n)
+            if pivots[:n] != tuple(range(n)):
+                with pytest.raises(QuivalgError):
+                    Matrix(m, n, rows).inverse()
+            else:
+                inv = Matrix(m, n, rows).inverse()
+                assert inv.entries == tuple(r[n:] for r in red)
+                assert all_fractions(inv.entries)
+
+    def test_full_rank_stops_early(self, monkeypatch):
+        # rank reaches the ambient dimension after two rows; later rows are
+        # never reduced, yet the answer is the oracle's
+        rows = [(1, 2), (3, 4), (5, 6), (7, 8)]
+        reduced = []
+        original = linalg._reduce
+
+        def counting(v, *args):
+            reduced.append(dict(v))
+            return original(v, *args)
+
+        monkeypatch.setattr(linalg, "_reduce", counting)
+        s = canonicalize(rows, 2)
+        assert len(reduced) == 2
+        assert s == full_subspace(2)
+        assert s.basis.entries == dense_rref(rows, 4, 2)[0][:2]
+
+    def test_zero_by_n_and_n_by_zero(self):
+        assert Matrix(0, 3, []).rref() == (Matrix(0, 3, []), ())
+        assert Matrix(2, 0, [(), ()]).rref() == (Matrix(2, 0, [(), ()]), ())
+        assert Matrix(0, 3, []).nullspace() == [unit_vec(3, i) for i in range(3)]
+        assert canonicalize([], 0).dim == 0
+
+    def test_public_constructor_still_coerces(self):
+        m = Matrix(1, 2, [[1, "3/2"]])
+        assert all_fractions(m.entries)
+
+
+def tensor_strategy(n):
+    return st.lists(
+        st.lists(st.tuples(*[small_entries] * n), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+
+
+class TestProductsWithin:
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.just(n), tensor_strategy(n),
+            *[st.lists(st.tuples(*[small_entries] * n), max_size=3)] * 3,
+            st.booleans(),
+        )
+    ))
+    def test_agrees_with_image_containment(self, data):
+        n, tensor, us, ws, ss, absorb = data
+        u, w = canonicalize(us, n), canonicalize(ws, n)
+        s = canonicalize(ss, n)
+        if absorb:  # make containment hold, so both verdicts get exercised
+            s = subspace_sum(s, bilinear_image(tensor, u, w))
+        want = subspace_contains(s, bilinear_image(tensor, u, w))
+        assert products_within(tensor, u, w, s) == want
+
+    def test_stops_at_first_miss(self):
+        calls = []
+
+        def mult(x, y):
+            calls.append((x, y))
+            return x
+
+        full = full_subspace(3)
+        assert not products_within(mult, full, full, zero_subspace(3))
+        assert len(calls) == 1
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            products_within(lambda x, y: x, full_subspace(2), full_subspace(2),
+                            full_subspace(3))
