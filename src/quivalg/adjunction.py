@@ -9,12 +9,12 @@ section used to build the counit.
 
 Morphisms of the quotient category are stored as (representative, depth)
 pairs; equality of classes is decided by the n-depth containment test.
+The Gabriel Vquiver of an algebra is memoized on the algebra object.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +25,8 @@ from .algebra import (
     SCAlgebra,
     identity_hom,
     lift_idempotents,
+    memoized,
+    path_index,
     quotient_algebra,
     radical,
     same_table,
@@ -32,7 +34,7 @@ from .algebra import (
     unipotent_inverse,
     validate_hom,
 )
-from .bound import RelationSet, relation_set
+from .bound import RelationSet, path_length_span, relation_set
 from .errors import CyclicInput, DimensionMismatch, QuivalgError, ValidationError
 from .linalg import (
     Matrix,
@@ -157,21 +159,14 @@ def edge_dimension_matrix(a: SCAlgebra, idems: Sequence[Vec]) -> dict[tuple[Vec,
     return out
 
 
-_gabriel_cache: "weakref.WeakKeyDictionary[SCAlgebra, GabrielVquiver]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@memoized
 def gabriel_vquiver(a: SCAlgebra) -> GabrielVquiver:
     """The Vquiver GQ(A) of a basic algebra, with canonical choices throughout.
 
     Vertices are keyed by the primitive idempotents of A/J (independent of
     the lift); the edge basis at (i, j) consists of RREF-completion
-    representatives of e_i J e_j modulo J^2.  Memoized per algebra.
+    representatives of e_i J e_j modulo J^2.  Memoized on the algebra.
     """
-    cached = _gabriel_cache.get(a)
-    if cached is not None:
-        return cached
     filt = radical(a)
     j, j2 = filt.radical, filt.power(2)
     idems = lift_idempotents(a)
@@ -198,7 +193,7 @@ def gabriel_vquiver(a: SCAlgebra) -> GabrielVquiver:
                     f"ar_{i}_{jdx}_{k}" for k in range(len(reps))
                 ]
     vq = validate_vquiver(labels, edge_spaces)
-    result = GabrielVquiver(
+    return GabrielVquiver(
         algebra=a,
         vquiver=vq,
         idempotents=idems,
@@ -209,8 +204,6 @@ def gabriel_vquiver(a: SCAlgebra) -> GabrielVquiver:
         quotient=b,
         projection=proj,
     )
-    _gabriel_cache[a] = result
-    return result
 
 
 def _class_mod_j2(
@@ -268,7 +261,6 @@ def gabriel_on_hom(
         src_pair = (ga.vquiver.vertices[i], ga.vquiver.vertices[jdx])
         ti, tj = vertex_index[i], vertex_index[jdx]
         if ti is None or tj is None:
-            cols = []
             j2 = gb.filtration.power(2)
             for x in reps:
                 if not j2.contains_vector(alpha.apply(x)):
@@ -302,7 +294,7 @@ def unit(vq: Vquiver) -> VquiverMap:
         raise CyclicInput("the unit is only defined for acyclic Vquivers")
     t = path_algebra_vq(vq)
     ga = gabriel_vquiver(t)
-    word_index = {(p.start, p.arrows): i for i, p in enumerate(t.paths)}
+    word_index = path_index(t)
     vertex_map: dict[str, str | None] = {}
     vertex_of: dict[str, int] = {}
     for v in vq.vertices:
@@ -467,16 +459,10 @@ def present_as_bound_quiver(a: SCAlgebra) -> Presentation:
     for left, right in ((full, kernel), (kernel, full)):
         if not products_within(t.mul_vec, left, right, kernel):
             raise QuivalgError("counit kernel is not a two-sided ideal")
-    arrows_sq = canonicalize(
-        [t.basis_vec(i) for i, p in enumerate(t.paths) if p.length >= 2], t.dim
-    )
-    if not subspace_contains(arrows_sq, kernel):
+    if not subspace_contains(path_length_span(t, 2), kernel):
         raise QuivalgError("counit kernel escapes the arrow-ideal square")
     m = ga.filtration.nilpotence_index
-    deep = canonicalize(
-        [t.basis_vec(i) for i, p in enumerate(t.paths) if p.length >= m], t.dim
-    )
-    if not subspace_contains(kernel, deep):
+    if not subspace_contains(kernel, path_length_span(t, m)):
         raise QuivalgError("kernel misses a power of the arrow ideal")
     graph = multigraph(ga.vquiver)
     terms = []

@@ -9,11 +9,14 @@ representation (Dickson's criterion, valid in characteristic zero); the
 split test for basic algebras works by simultaneous rational diagonalization
 of the commutative quotient and rejects inputs that fail to split instead of
 assuming an algebraically closed field.
+
+Algebras are frozen; the radical, the semisimple quotient and the path index
+are memoized on the object, so each lives exactly as long as its algebra.
 """
 
 from __future__ import annotations
 
-import weakref
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log2
@@ -54,7 +57,25 @@ from .linalg import (
 SparseTable = dict[tuple[int, int], dict[int, Fraction]]
 
 
-@dataclass(eq=False)
+def memoized(fn):
+    """Memoize a one-argument function in its (frozen) argument's ``__dict__``.
+
+    The answer lives exactly as long as the argument, and repeated calls
+    return the same object.
+    """
+    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(obj):
+        memo = obj.__dict__
+        if key not in memo:
+            memo[key] = fn(obj)
+        return memo[key]
+
+    return wrapper
+
+
+@dataclass(frozen=True, eq=False)
 class SCAlgebra:
     """A unital associative algebra over Q with a distinguished basis."""
 
@@ -64,11 +85,10 @@ class SCAlgebra:
     unit: Vec
     paths: tuple | None = None   # path bookkeeping for (bound) path algebras
     quiver: object | None = None
-    _index: dict[str, int] = field(default=None, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._index is None:
-            object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.basis_labels)})
+        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.basis_labels)})
 
     def index_of(self, label: str) -> int:
         try:
@@ -318,7 +338,7 @@ def algebra_from_paths(q, paths: Sequence, max_len: int | None) -> SCAlgebra:
     labels = [p.label for p in paths]
     if len(set(labels)) != len(labels):
         raise ValidationError("path labels collide; rename arrows", witness=labels)
-    index = {(p.start, p.arrows): i for i, p in enumerate(paths)}
+    index = _index_paths(paths)
     table: SparseTable = {}
     for i, u in enumerate(paths):
         for j, v in enumerate(paths):
@@ -338,6 +358,18 @@ def algebra_from_paths(q, paths: Sequence, max_len: int | None) -> SCAlgebra:
     return make_algebra(
         labels, table, unit, paths=tuple(paths), quiver=q
     )
+
+
+def _index_paths(paths: Sequence) -> dict[tuple, int]:
+    return {(p.start, p.arrows): i for i, p in enumerate(paths)}
+
+
+@memoized
+def path_index(a: SCAlgebra) -> dict[tuple, int]:
+    """Basis index of each path, keyed by (start vertex, arrow labels)."""
+    if a.paths is None:
+        raise QuivalgError("algebra lacks path bookkeeping")
+    return _index_paths(a.paths)
 
 
 BUILDER_KINDS = (
@@ -393,26 +425,17 @@ class RadicalFiltration:
         return zero_subspace(self.algebra.dim)
 
 
-_radical_cache: "weakref.WeakKeyDictionary[SCAlgebra, RadicalFiltration]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@memoized
 def radical(a: SCAlgebra) -> RadicalFiltration:
     """Radical filtration via the trace form of the left regular representation.
 
     J(A) is the nullspace of the Gram matrix G[i][j] = trace(L_{e_i e_j});
     higher powers come from iterated products J^(i+1) = J * J^i.  Each power
-    is verified to be a two-sided ideal.
+    is verified to be a two-sided ideal.  Memoized on the algebra.
     """
-    cached = _radical_cache.get(a)
-    if cached is not None:
-        return cached
     n = a.dim
     if n == 0:
-        filt = RadicalFiltration(a, (zero_subspace(0),))
-        _radical_cache[a] = filt
-        return filt
+        return RadicalFiltration(a, (zero_subspace(0),))
     left_traces = [ZERO] * n
     for (l, k), d in a.mult.items():
         c = d.get(k)
@@ -433,9 +456,7 @@ def radical(a: SCAlgebra) -> RadicalFiltration:
         for left, right in ((full, s), (s, full)):
             if not products_within(a.mul_vec, left, right, s):
                 raise QuivalgError("radical power is not a two-sided ideal")
-    filt = RadicalFiltration(a, tuple(powers))
-    _radical_cache[a] = filt
-    return filt
+    return RadicalFiltration(a, tuple(powers))
 
 
 def is_semisimple(a: SCAlgebra) -> bool:
@@ -601,18 +622,10 @@ class AlgebraPredicates:
     connected: bool
 
 
-_ss_quotient_cache: "weakref.WeakKeyDictionary[SCAlgebra, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@memoized
 def semisimple_quotient(a: SCAlgebra) -> tuple[SCAlgebra, "AlgebraHom"]:
-    """A/J(A) with its projection; memoized so orbit keys stay comparable."""
-    cached = _ss_quotient_cache.get(a)
-    if cached is None:
-        cached = quotient_algebra(a, radical(a).radical)
-        _ss_quotient_cache[a] = cached
-    return cached
+    """A/J(A) with its projection; memoized on the algebra so orbit keys stay comparable."""
+    return quotient_algebra(a, radical(a).radical)
 
 
 def is_basic(a: SCAlgebra) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import SCAlgebra, AlgebraHom, algebra_from_paths, quotient_algebra
+from .algebra import SCAlgebra, AlgebraHom, algebra_from_paths, path_index, quotient_algebra
 from .errors import InadmissibleIdeal, QuivalgError, ValidationError
 from .linalg import (
     Subspace,
@@ -21,6 +21,7 @@ from .linalg import (
     canonicalize,
     frac,
     subspace_contains,
+    subspace_intersect,
     subspace_sum,
     vec_add,
     vec_scale,
@@ -80,7 +81,7 @@ def truncated_path_algebra(q: Quiver, max_len: int) -> SCAlgebra:
 def relation_vector(t: SCAlgebra, rel: Sequence[RelationTerm]) -> Vec:
     """The element of the truncated algebra named by one relation line."""
     out = zero_vec(t.dim)
-    index = {(p.start, p.arrows): i for i, p in enumerate(t.paths)}
+    index = path_index(t)
     for coeff, labels in rel:
         path = path_from_arrows(t.quiver, labels)
         key = (path.start, path.arrows)
@@ -192,8 +193,6 @@ def bound_algebra(r: RelationSet) -> tuple[SCAlgebra, AlgebraHom]:
 
 def _dimension_bookkeeping(t: SCAlgebra, ideal: Subspace, m: int) -> int:
     """dim kQ/I = #paths shorter than m minus dim(I within their span)."""
-    from .linalg import subspace_intersect
-
     short = canonicalize(
         [t.basis_vec(i) for i, p in enumerate(t.paths) if p.length < m], t.dim
     )

@@ -9,7 +9,7 @@ p1 * h = h for the one-arrow quiver 1 -> 2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import CyclicInput, ValidationError
@@ -17,20 +17,19 @@ from .errors import CyclicInput, ValidationError
 
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices and arrows; arrow ends and out-adjacency are built once."""
+
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (label, source, target)
+    _ends: dict[str, tuple[str, str]] = field(init=False, compare=False, repr=False)
+    _out: dict[str, tuple] = field(init=False, compare=False, repr=False)
 
-    def arrow_source(self, label: str) -> str:
-        return self._arrow_map()[label][0]
-
-    def arrow_target(self, label: str) -> str:
-        return self._arrow_map()[label][1]
-
-    def _arrow_map(self) -> dict[str, tuple[str, str]]:
-        return {lab: (s, t) for lab, s, t in self.arrows}
-
-    def arrows_from(self, v: str) -> list[tuple[str, str, str]]:
-        return [a for a in self.arrows if a[1] == v]
+    def __post_init__(self):
+        out: dict[str, list] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            out[a[1]].append(a)
+        object.__setattr__(self, "_ends", {lab: (s, t) for lab, s, t in self.arrows})
+        object.__setattr__(self, "_out", {v: tuple(arr) for v, arr in out.items()})
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def path_from_arrows(q: Quiver, labels: Sequence[str]) -> Path:
     """The composable path with the given arrow labels (errors if broken)."""
     if not labels:
         raise ValidationError("path_from_arrows needs at least one arrow")
-    amap = q._arrow_map()
+    amap = q._ends
     for lab in labels:
         if lab not in amap:
             raise ValidationError(f"unknown arrow {lab}")
@@ -96,21 +95,26 @@ def path_from_arrows(q: Quiver, labels: Sequence[str]) -> Path:
     return Path(start, tuple(labels), at)
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """Kahn topological sort; loops count as cycles."""
+def _topological_order(q: Quiver) -> list[str] | None:
+    """Kahn's algorithm: the vertices in topological order, or None on a cycle."""
     indeg = {v: 0 for v in q.vertices}
     for _, _, t in q.arrows:
         indeg[t] += 1
     ready = deque(v for v in q.vertices if indeg[v] == 0)
-    seen = 0
+    order = []
     while ready:
         v = ready.popleft()
-        seen += 1
-        for _, _, t in q.arrows_from(v):
+        order.append(v)
+        for _, _, t in q._out[v]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 ready.append(t)
-    return seen == len(q.vertices)
+    return order if len(order) == len(q.vertices) else None
+
+
+def is_acyclic(q: Quiver) -> bool:
+    """No oriented cycle; loops count as cycles."""
+    return _topological_order(q) is not None
 
 
 def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
@@ -125,7 +129,7 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
     for _ in range(max_len):
         nxt = []
         for p in frontier:
-            for lab, _, t in q.arrows_from(p.end):
+            for lab, _, t in q._out[p.end]:
                 nxt.append(Path(p.start, p.arrows + (lab,), t))
         if not nxt:
             break
@@ -137,23 +141,12 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
 
 def longest_path_length(q: Quiver) -> int:
     """Number of arrows in a longest path of an acyclic quiver."""
-    if not is_acyclic(q):
+    order = _topological_order(q)
+    if order is None:
         raise CyclicInput("longest path is undefined for cyclic quivers")
-    indeg = {v: 0 for v in q.vertices}
-    for _, _, t in q.arrows:
-        indeg[t] += 1
-    order = deque(v for v in q.vertices if indeg[v] == 0)
-    topo = []
-    while order:
-        v = order.popleft()
-        topo.append(v)
-        for _, _, t in q.arrows_from(v):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                order.append(t)
-    depth = {v: 0 for v in q.vertices}
-    for v in reversed(topo):
-        depth[v] = max((1 + depth[t] for _, _, t in q.arrows_from(v)), default=0)
+    depth: dict[str, int] = {}
+    for v in reversed(order):
+        depth[v] = max((1 + depth[t] for _, _, t in q._out[v]), default=0)
     return max(depth.values(), default=0)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import SCAlgebra, same_table
+from .algebra import SCAlgebra, path_index, same_table
 from .bound import RelationSet, bound_algebra
 from .errors import DimensionMismatch, QuivalgError, ValidationError
 from .linalg import (
@@ -178,20 +178,20 @@ def module_to_rep(m: AlgebraModule) -> tuple[QuiverRep, Matrix]:
     if a.paths is None or a.quiver is None:
         raise QuivalgError("algebra lacks path bookkeeping")
     quiver: Quiver = a.quiver
-    path_index = {(p.start, p.arrows): i for i, p in enumerate(a.paths)}
+    index = path_index(a)
     images: dict[str, Subspace] = {}
     for v in quiver.vertices:
-        proj = m.action[path_index[(v, ())]]
+        proj = m.action[index[(v, ())]]
         images[v] = canonicalize([proj.col(j) for j in range(m.dim)], m.dim)
     spaces = {v: images[v].dim for v in quiver.vertices}
     maps: dict[str, Matrix] = {}
     for lab, s, t in quiver.arrows:
         key = (s, (lab,))
-        if key not in path_index:
+        if key not in index:
             # the arrow died in the bound quotient: it acts as zero
             maps[lab] = Matrix.zero(spaces[t], spaces[s])
             continue
-        act = m.action[path_index[key]]
+        act = m.action[index[key]]
         cols = []
         for b in images[t].basis_rows():
             w = act.apply(b)

@@ -6,15 +6,24 @@ Vquiver is the tensor algebra of the edge bimodule over the vertex algebra,
 realized concretely as the path algebra of the multigraph with one arrow per
 edge-basis label; the Sigma-balancing is automatic because edge spaces are
 indexed by vertex pairs.
+
+Vquivers are frozen; the path algebra of a Vquiver is memoized on the object.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraHom, SCAlgebra, algebra_from_paths, make_algebra, validate_hom
+from .algebra import (
+    AlgebraHom,
+    SCAlgebra,
+    algebra_from_paths,
+    make_algebra,
+    memoized,
+    path_index,
+    validate_hom,
+)
 from .errors import CyclicInput, DimensionMismatch, QuivalgError, ValidationError
 from .linalg import ONE, Matrix, Vec, is_zero_vec, vec_add, vec_scale, zero_vec
 from .quiver import Quiver, enumerate_paths, is_acyclic, longest_path_length, validate_quiver
@@ -22,7 +31,7 @@ from .quiver import Quiver, enumerate_paths, is_acyclic, longest_path_length, va
 STAR = "*"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Vquiver:
     """Vertices plus a labeled edge basis for each ordered vertex pair."""
 
@@ -139,9 +148,7 @@ def tensor_power_dims(vq: Vquiver) -> list[int]:
     return dims
 
 
-_path_algebra_cache: "weakref.WeakKeyDictionary[Vquiver, SCAlgebra]" = None
-
-
+@memoized
 def path_algebra_vq(vq: Vquiver) -> SCAlgebra:
     """The tensor algebra T(Sigma, VQ1) on vertex idempotents and edge words.
 
@@ -149,14 +156,8 @@ def path_algebra_vq(vq: Vquiver) -> SCAlgebra:
     graded by length; multiplication is concatenation of composable words.
     Coincides with the path algebra of the edge multigraph, and that identity
     is asserted against the independent tensor-power dimension count.
-    Memoized per Vquiver so repeated functor applications share one carrier.
+    Memoized on the Vquiver so repeated functor applications share one carrier.
     """
-    global _path_algebra_cache
-    if _path_algebra_cache is None:
-        _path_algebra_cache = weakref.WeakKeyDictionary()
-    cached = _path_algebra_cache.get(vq)
-    if cached is not None:
-        return cached
     acyc = is_acyclic_vq(vq)
     if not acyc.acyclic:
         raise CyclicInput("path algebra of a cyclic Vquiver is infinite dimensional")
@@ -167,7 +168,6 @@ def path_algebra_vq(vq: Vquiver) -> SCAlgebra:
         raise QuivalgError(
             f"word count {t.dim} disagrees with tensor dimension {expected}"
         )
-    _path_algebra_cache[vq] = t
     return t
 
 
@@ -293,7 +293,7 @@ def induced_hom(rho: VquiverMap) -> AlgebraHom:
         raise ValidationError("induced algebra maps need surjective Vquiver maps")
     src = path_algebra_vq(rho.source)
     tgt = path_algebra_vq(rho.target)
-    tgt_index = {(p.start, p.arrows): i for i, p in enumerate(tgt.paths)}
+    tgt_index = path_index(tgt)
 
     def label_image(e: str, f: str, k: int) -> Vec:
         pair = rho.image_pair(e, f)

@@ -1,6 +1,8 @@
 """Gabriel Vquivers, the n-depth congruence, unit/counit, triangles."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -285,6 +287,15 @@ class TestTriangles:
 
 
 class TestPresentation:
+    def test_memos_die_with_the_algebra(self):
+        u4 = alg.upper_triangular(4)
+        adj.present_as_bound_quiver(u4)
+        assert adj.gabriel_vquiver(u4) is adj.gabriel_vquiver(u4)
+        ref = weakref.ref(u4)
+        del u4
+        gc.collect()
+        assert ref() is None
+
     def test_hereditary_kernel_zero(self):
         pres = adj.present_as_bound_quiver(alg.upper_triangular(3))
         assert pres.kernel.dim == 0

@@ -1,12 +1,13 @@
 """Structure-constant algebras: radicals, predicates, quotients, idempotents."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from quivalg import algebra as alg
 from quivalg import bound, corpus
-from quivalg.errors import NotBasicError, NotSplitOverQQ, ValidationError
+from quivalg.errors import NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError
 from quivalg.linalg import canonicalize, is_zero_vec, unit_vec
 from quivalg.quiver import path_algebra, validate_quiver
 
@@ -115,6 +116,36 @@ class TestRadical:
         for _, q in corpus.corpus_quivers(seed=7, count=8):
             kq = path_algebra(q)
             assert alg.radical(kq).radical == bound.arrow_ideal(kq)
+
+
+class TestFrozenMemo:
+    def test_rebinding_the_table_is_refused(self):
+        u2 = alg.upper_triangular(2)
+        alg.radical(u2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u2.mult = alg.upper_triangular(1).mult
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u2.unit = (Fraction(1),)
+
+    def test_memoized_answers_are_shared(self):
+        u3 = alg.upper_triangular(3)
+        assert alg.radical(u3) is alg.radical(u3)
+        assert alg.semisimple_quotient(u3) is alg.semisimple_quotient(u3)
+
+    def test_memo_is_per_object(self):
+        first, second = alg.upper_triangular(2), alg.upper_triangular(2)
+        assert alg.radical(first) is not alg.radical(second)
+        assert alg.radical(first).algebra is first
+
+    def test_path_index(self):
+        q = validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        kq = path_algebra(q)
+        index = alg.path_index(kq)
+        assert index is alg.path_index(kq)
+        assert [index[(p.start, p.arrows)] for p in kq.paths] == list(range(kq.dim))
+        assert kq.basis_labels[index[("1", ("a", "b"))]] == "a*b"
+        with pytest.raises(QuivalgError):
+            alg.path_index(alg.upper_triangular(2))
 
 
 class TestPredicates:

@@ -91,6 +91,24 @@ class TestAcyclicity:
         q = validate_quiver(vs, arrows)
         assert is_acyclic(q) == (not dfs_has_cycle(q))
 
+    @given(st.integers(1, 6), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                       max_size=10))
+    @settings(max_examples=80)
+    def test_longest_path_matches_enumeration(self, n, pairs):
+        # every arrow runs from a smaller to a larger vertex index: a DAG
+        vs = [f"v{i}" for i in range(n)]
+        ends = [sorted((i % n, j % n)) for i, j in pairs]
+        arrows = [
+            (f"a{k}", vs[s], vs[t]) for k, (s, t) in enumerate(ends) if s < t
+        ]
+        q = validate_quiver(vs, arrows)
+        longest = max(p.length for p in enumerate_paths(q, len(q.vertices)))
+        assert longest_path_length(q) == longest
+
+    def test_longest_path_refuses_cycles(self):
+        with pytest.raises(CyclicInput):
+            longest_path_length(validate_quiver(["1"], [("a", "1", "1")]))
+
 
 class TestEnumeration:
     def test_basis_of_three(self):

@@ -1,5 +1,7 @@
 """Vquivers, tensor path algebras, induced algebra maps."""
 
+import dataclasses
+
 import pytest
 
 from quivalg import algebra as alg
@@ -85,6 +87,18 @@ class TestPathAlgebra:
     def test_cyclic_rejected(self):
         with pytest.raises(CyclicInput):
             path_algebra_vq(validate_vquiver(["e"], {("e", "e"): 1}))
+
+    def test_memoized_on_the_vquiver(self):
+        v = validate_vquiver(["e", "f"], {("e", "f"): ["x"]})
+        assert path_algebra_vq(v) is path_algebra_vq(v)
+        same_shape = validate_vquiver(["e", "f"], {("e", "f"): ["x"]})
+        assert path_algebra_vq(same_shape) is not path_algebra_vq(v)
+
+    def test_rebinding_edges_is_refused(self):
+        v = validate_vquiver(["e", "f"], {("e", "f"): ["x"]})
+        path_algebra_vq(v)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.edge_labels = {}
 
     def test_matches_multigraph_path_count(self):
         for _, v in corpus.corpus_vquivers(seed=5, count=8):
