@@ -430,8 +430,8 @@ def radical(a: SCAlgebra) -> RadicalFiltration:
     """Radical filtration via the trace form of the left regular representation.
 
     J(A) is the nullspace of the Gram matrix G[i][j] = trace(L_{e_i e_j});
-    higher powers come from iterated products J^(i+1) = J * J^i.  Each power
-    is verified to be a two-sided ideal.  Memoized on the algebra.
+    higher powers come from iterated products J^(i+1) = J * J^i.  J is
+    verified to be a two-sided ideal.  Memoized on the algebra.
     """
     n = a.dim
     if n == 0:
@@ -451,11 +451,10 @@ def radical(a: SCAlgebra) -> RadicalFiltration:
         if nxt.dim >= powers[-1].dim:
             raise QuivalgError("radical is not nilpotent; input algebra is broken")
         powers.append(nxt)
-    full = powers[0]
-    for s in powers[1:]:
-        for left, right in ((full, s), (s, full)):
-            if not products_within(a.mul_vec, left, right, s):
-                raise QuivalgError("radical power is not a two-sided ideal")
+    # J * J^i is an ideal whenever J and J^i are, so checking J suffices
+    for left, right in ((powers[0], j1), (j1, powers[0])):
+        if not products_within(a.mul_vec, left, right, j1):
+            raise QuivalgError("radical is not a two-sided ideal")
     return RadicalFiltration(a, tuple(powers))
 
 
@@ -731,7 +730,7 @@ def hom_from_images(source: SCAlgebra, target: SCAlgebra, images: Sequence[Seque
     return validate_hom(AlgebraHom(source, target, matrix))
 
 
-def validate_hom(f: AlgebraHom, check_radical_image: bool = True) -> AlgebraHom:
+def validate_hom(f: AlgebraHom) -> AlgebraHom:
     """Verify unitality and multiplicativity on all basis pairs.
 
     Sets the surjectivity flag from the rank; for surjective maps also
@@ -756,7 +755,7 @@ def validate_hom(f: AlgebraHom, check_radical_image: bool = True) -> AlgebraHom:
                     witness=(i, j),
                 )
     f.surjective = f.matrix.rank() == b.dim
-    if f.surjective and check_radical_image:
+    if f.surjective:
         ja = radical(a).radical
         jb = radical(b).radical
         image = canonicalize([f.apply(r) for r in ja.basis_rows()], b.dim)
@@ -771,6 +770,9 @@ def is_isomorphism(f: AlgebraHom) -> bool:
 
 def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraHom]:
     """Quotient by a proper two-sided ideal, with the projection hom.
+
+    The one public check that a subspace is a proper two-sided ideal; the
+    projection comes back surjective and needs no ``validate_hom``.
 
     Coset representatives come from deterministic RREF-pivot completion; when
     they are all standard basis vectors their labels (and any path
@@ -802,27 +804,24 @@ def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraH
     proj_matrix = Matrix(
         r, a.dim, [tuple(inv.entries[i][k] for i in range(a.dim)) for k in range(r)]
     )
-
-    def project(x: Sequence) -> Vec:
-        return proj_matrix.apply(x)
-
+    if canonicalize(proj_matrix.nullspace(), a.dim) != ideal:
+        raise QuivalgError("projection kernel disagrees with the ideal")
     table: SparseTable = {}
     for i, x in enumerate(reps):
         for j, y in enumerate(reps):
-            coords = project(a.mul_vec(x, y))
+            coords = proj_matrix.apply(a.mul_vec(x, y))
             entry = {k: c for k, c in enumerate(coords) if c != 0}
             if entry:
                 table[(i, j)] = entry
-    quotient = make_algebra(
-        labels, table, project(a.unit),
+    # ker(proj) is a two-sided ideal, so the table proj(rep_i rep_j) makes
+    # proj multiplicative, and a surjective multiplicative image of an
+    # associative unital algebra is associative and unital: no validate_algebra
+    quotient = SCAlgebra(
+        r, tuple(labels), table, proj_matrix.apply(a.unit),
         paths=paths, quiver=a.quiver if paths else None,
     )
     section = Matrix(a.dim, r, list(zip(*reps)) if reps else [[]] * a.dim)
-    proj = AlgebraHom(a, quotient, proj_matrix, section=section)
-    validate_hom(proj, check_radical_image=False)
-    kernel = canonicalize(proj_matrix.nullspace(), a.dim)
-    if kernel != ideal:
-        raise QuivalgError("projection kernel disagrees with the ideal")
+    proj = AlgebraHom(a, quotient, proj_matrix, surjective=True, section=section)
     return quotient, proj
 
 

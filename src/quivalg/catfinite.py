@@ -253,19 +253,21 @@ class Poset:
 
 
 def validate_poset(elements: Sequence[str], le: Iterable[tuple[str, str]]) -> Poset:
-    """Verify reflexivity, antisymmetry and transitivity."""
+    """Verify reflexivity, antisymmetry and transitivity; witnesses come in element order."""
     elements = tuple(elements)
     le = frozenset((a, b) for a, b in le)
-    for a, b in le:
-        if a not in elements or b not in elements:
+    declared = set(elements)
+    for a, b in sorted(le):
+        if a not in declared or b not in declared:
             raise ValidationError(f"relation mentions undeclared element ({a}, {b})")
     for a in elements:
         if (a, a) not in le:
             raise ValidationError(f"relation is not reflexive at {a}", witness=a)
-    for a, b in le:
+    ordered = [(a, b) for a in elements for b in elements if (a, b) in le]
+    for a, b in ordered:
         if a != b and (b, a) in le:
             raise ValidationError(f"antisymmetry fails on ({a}, {b})", witness=(a, b))
-    for a, b in le:
+    for a, b in ordered:
         for c in elements:
             if (b, c) in le and (a, c) not in le:
                 raise ValidationError(

@@ -1,7 +1,7 @@
 """Line-oriented text formats for every object the CLI exchanges.
 
 All formats are UTF-8 with ``#`` comments and blank lines ignored.  Scalars
-are written ``p/q``.  Linear combinations are written ``c*label`` terms
+are written ``p`` or ``p/q``.  Linear combinations are written ``c*label`` terms
 joined by `` + `` / `` - ``; the coefficient is always explicit, so labels
 themselves may contain ``*`` (bound path algebras use path labels like
 ``a*b``).  Labels must not contain whitespace or ``+`` / ``-``.
@@ -32,6 +32,9 @@ def _lines(text: str) -> list[str]:
 
 
 def parse_scalar(token: str) -> Fraction:
+    # Fraction alone also takes exponents, and expands 1e100000000 to 10^8 digits
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+        raise FormatError(f"bad scalar {token!r}: expected p or p/q")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -393,17 +396,16 @@ def parse_category(text: str) -> FinCategory:
 
 
 def _transitive_reflexive_closure(elements: list[str], pairs: list[tuple[str, str]]):
-    le = {(a, a) for a in elements}
-    le.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(le):
-            for c, d in list(le):
-                if b == c and (a, d) not in le:
-                    le.add((a, d))
-                    changed = True
-    return le
+    # one Warshall pass over every name, so undeclared ones reach validate_poset
+    names = list(dict.fromkeys([*elements, *(x for pair in pairs for x in pair)]))
+    above: dict[str, set[str]] = {x: set() for x in names}
+    for a, b in pairs:
+        above[a].add(b)
+    for k in names:
+        for x in names:
+            if k in above[x]:
+                above[x] |= above[k]
+    return {(a, a) for a in elements} | {(a, b) for a in names for b in above[a]}
 
 
 def parse_galois(text: str) -> tuple[Poset, Poset, dict[str, str], dict[str, str]]:

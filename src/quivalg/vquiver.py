@@ -19,10 +19,10 @@ from .algebra import (
     AlgebraHom,
     SCAlgebra,
     algebra_from_paths,
+    hom_from_images,
     make_algebra,
     memoized,
     path_index,
-    validate_hom,
 )
 from .errors import CyclicInput, DimensionMismatch, QuivalgError, ValidationError
 from .linalg import ONE, Matrix, Vec, is_zero_vec, vec_add, vec_scale, zero_vec
@@ -329,8 +329,7 @@ def induced_hom(rho: VquiverMap) -> AlgebraHom:
             if is_zero_vec(acc):
                 break
         images.append(acc)
-    matrix = Matrix(tgt.dim, src.dim, list(zip(*images)) if images else [])
-    hom = validate_hom(AlgebraHom(src, tgt, matrix), check_radical_image=True)
+    hom = hom_from_images(src, tgt, images)
     if not hom.surjective:
         raise QuivalgError("induced map of a surjective Vquiver map must be surjective")
     return hom

@@ -1,14 +1,16 @@
 """Structure-constant algebras: radicals, predicates, quotients, idempotents."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivalg import algebra as alg
 from quivalg import bound, corpus
 from quivalg.errors import NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError
-from quivalg.linalg import canonicalize, is_zero_vec, unit_vec
+from quivalg.linalg import canonicalize, is_zero_vec, products_within, unit_vec
 from quivalg.quiver import path_algebra, validate_quiver
 
 
@@ -237,6 +239,57 @@ class TestHoms:
                 continue
             _, proj = alg.quotient_algebra(a, j)
             alg.validate_hom(proj)
+
+
+def assert_quotient_passes_full_checks(a, ideal):
+    """The checks quotient_algebra skips still hold on what it returns."""
+    quotient, proj = alg.quotient_algebra(a, ideal)
+    assert proj.surjective
+    alg.validate_algebra(quotient)
+    alg.validate_hom(proj)  # multiplicative, unital, f(J(A)) = J(B)
+    assert proj.surjective  # now recomputed from the rank
+    return quotient
+
+
+def assert_radical_powers_are_ideals(a):
+    full = a.full_space()
+    for s in alg.radical(a).powers:
+        assert products_within(a.mul_vec, full, s, s)
+        assert products_within(a.mul_vec, s, full, s)
+
+
+class TestSkippedChecksAsOracles:
+    """radical checks only J and quotient_algebra trusts its ideal and kernel
+    checks; the checks they no longer run must still pass on their output."""
+
+    def test_corpus_radical_powers_and_quotients(self):
+        for _, a in corpus.corpus_basic():
+            assert_radical_powers_are_ideals(a)
+            for s in alg.radical(a).powers[1:]:
+                assert_quotient_passes_full_checks(a, s)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.lists(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+                 min_size=1, max_size=2),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ideals_of_small_path_algebras(self, seed, n, m, coeffs, in_arrow_ideal):
+        q = corpus.random_acyclic_quiver(random.Random(seed), n, m)
+        t = path_algebra(q)
+        gens = [(c + [0] * t.dim)[: t.dim] for c in coeffs]
+        if in_arrow_ideal:
+            gens = [[x if p.length else 0 for p, x in zip(t.paths, g)] for g in gens]
+        ideal = bound.ideal_closure(t, gens)
+        assert_radical_powers_are_ideals(t)
+        if ideal.dim == t.dim:
+            with pytest.raises(ValidationError):
+                alg.quotient_algebra(t, ideal)
+            return
+        assert_radical_powers_are_ideals(assert_quotient_passes_full_checks(t, ideal))
 
 
 class TestIdempotents:

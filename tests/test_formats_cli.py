@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 from quivalg import algebra as alg
 from quivalg import bound, corpus, formats
 from quivalg.cli import main
-from quivalg.errors import FormatError
+from quivalg.errors import FormatError, ValidationError
 from quivalg.quiver import validate_quiver
 from quivalg.vquiver import validate_vquiver
 
@@ -27,6 +28,15 @@ class TestScalarsAndLincombs:
             formats.parse_scalar("x")
         with pytest.raises(FormatError):
             formats.parse_scalar("1/0")
+        for token in ("1.5", "1_0", " 3", "3/-2", "0x10", "inf"):
+            with pytest.raises(FormatError):
+                formats.parse_scalar(token)
+
+    def test_exponent_refused_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(FormatError):
+            formats.parse_scalar("1e100000000")
+        assert time.perf_counter() - start < 1.0
 
     def test_lincomb_roundtrip(self):
         labels = ("a", "b", "c")
@@ -115,6 +125,38 @@ class TestRoundTrips:
         assert out == [alg.frac(c) for c in coeffs]
 
 
+def fixpoint_closure(elements, pairs):
+    """The former quadratic-per-pass closure, kept as the test oracle."""
+    le = {(a, a) for a in elements}
+    le.update(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(le):
+            for c, d in list(le):
+                if b == c and (a, d) not in le:
+                    le.add((a, d))
+                    changed = True
+    return le
+
+
+class TestPosetClosure:
+    NAMES = ["a", "b", "c", "d", "e", "f"]
+
+    @given(
+        st.lists(st.sampled_from(NAMES), unique=True, max_size=5),
+        st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=10),
+    )
+    def test_warshall_matches_fixpoint(self, elements, pairs):
+        got = formats._transitive_reflexive_closure(elements, pairs)
+        assert got == fixpoint_closure(elements, pairs)
+
+    def test_undeclared_element_rejected(self):
+        text = "galois\nposet J: a b\nle J: a z\nposet I: a\nF: a -> a\nF: b -> a\nG: a -> a\n"
+        with pytest.raises(ValidationError, match=r"undeclared element \(a, z\)"):
+            formats.parse_galois(text)
+
+
 def run_cli(args, stdin_text=""):
     """Invoke main() in-process, capturing stdout."""
     old_stdin, old_stdout = sys.stdin, sys.stdout
@@ -156,6 +198,14 @@ class TestCLI:
 
     def test_malformed_input_exits_2(self):
         code, _ = run_cli(["quiver", "info"], "bogus\n")
+        assert code == 2
+
+    def test_exponent_in_algebra_file_exits_2(self, tmp_path):
+        path = tmp_path / "huge.alg"
+        path.write_text(
+            "algebra dim 1\nbasis: 1\nunit: 1*1\nmul 1 1 = 1e100000000*1\n"
+        )
+        code, _ = run_cli(["algebra", "info", str(path)])
         assert code == 2
 
     def test_validation_failure_exits_1(self):
@@ -311,6 +361,26 @@ def console_script_command(name):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return [sys.executable, "-c", code], env
+
+
+class TestHashSeedIndependence:
+    def test_poset_witness_does_not_depend_on_hash_seed(self, tmp_path):
+        path = tmp_path / "cycle.galois"
+        path.write_text(
+            "galois\nposet J: a b c\nle J: a b\nle J: b c\nle J: c a\n"
+            "poset I: a\nF: a -> a\nF: b -> a\nF: c -> a\nG: a -> a\n"
+        )
+        command, env = console_script_command("quivalg")
+        errs = set()
+        for seed in ("1", "2", "3"):
+            run_env = dict(os.environ if env is None else env, PYTHONHASHSEED=seed)
+            result = subprocess.run(
+                command + ["cat", "galois", str(path)],
+                capture_output=True, text=True, env=run_env,
+            )
+            assert result.returncode == 1
+            errs.add(result.stderr)
+        assert errs == {"error (validation): antisymmetry fails on (a, b)\n"}
 
 
 class TestConsoleScript:
