@@ -326,8 +326,20 @@ def counit(a: SCAlgebra, section_rng: random.Random | None = None) -> NDepthClas
     degree-one words go through a linear section of J -> J/J^2 (the chosen
     RREF representatives, optionally perturbed inside J^2 by the seeded rng);
     longer words extend multiplicatively via the universal property.  The
-    class modulo depth 1 does not depend on the section.
+    class modulo depth 1 does not depend on the section.  The counit of the
+    unperturbed section is memoized on the algebra.
     """
+    if section_rng is None:
+        return _canonical_counit(a)
+    return _counit(a, section_rng)
+
+
+@memoized
+def _canonical_counit(a: SCAlgebra) -> NDepthClass:
+    return _counit(a, None)
+
+
+def _counit(a: SCAlgebra, section_rng: random.Random | None) -> NDepthClass:
     ga = gabriel_vquiver(a)
     if not is_acyclic_vq(ga.vquiver).acyclic:
         raise CyclicInput("algebra is outside the acyclic class: GQ(A) has a cycle")

@@ -4,6 +4,13 @@ The multiplication table is stored sparsely: ``mult[(i, j)]`` is a dict
 mapping basis index k to the coefficient of e_k in e_i * e_j, with zero
 products simply absent.  All algebras live over the exact rationals.
 
+``mult`` is the public Fraction table.  At construction each algebra also
+derives an integer table over one common denominator (the lcm of the
+denominators in ``mult``); ``mul_vec``, ``validate_algebra`` and
+``validate_hom`` do their arithmetic on it and build Fractions only for
+their results.  The integer table is not rederived, so in-place edits of
+``mult`` are unsupported (rebinding it is refused by the frozen dataclass).
+
 The radical is computed from the trace form of the left regular
 representation (Dickson's criterion, valid in characteristic zero); the
 split test for basic algebras works by simultaneous rational diagonalization
@@ -19,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, lcm, log2
 from typing import Sequence
 
 import sympy
@@ -55,6 +62,29 @@ from .linalg import (
 )
 
 SparseTable = dict[tuple[int, int], dict[int, Fraction]]
+IntTable = dict[tuple[int, int], dict[int, int]]
+IntPairs = Sequence[tuple[int, int]]
+
+
+def _integral(x: Sequence) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero entries of x as (index, integer) pairs over one denominator.
+
+    Returns (pairs, d) with x[i] == n / d for each (i, n) in pairs.  Most
+    zeros are the shared ZERO: the identity test is much cheaper than
+    Fraction.__bool__, which still catches any other zero.
+    """
+    pairs = []
+    den = 1
+    for i, c in enumerate(x):
+        if c is ZERO or not c:
+            continue
+        q = c.denominator
+        if q != 1 and den % q:
+            den = lcm(den, q)
+        pairs.append((i, c))
+    if den == 1:
+        return [(i, c.numerator) for i, c in pairs], 1
+    return [(i, c.numerator * (den // c.denominator)) for i, c in pairs], den
 
 
 def memoized(fn):
@@ -77,7 +107,12 @@ def memoized(fn):
 
 @dataclass(frozen=True, eq=False)
 class SCAlgebra:
-    """A unital associative algebra over Q with a distinguished basis."""
+    """A unital associative algebra over Q with a distinguished basis.
+
+    ``mult`` is the public Fraction table.  Construction derives the integer
+    table ``_int_mult`` and its common denominator ``_den`` from it once:
+    ``mult[(i, j)][k] == Fraction(_int_mult[(i, j)][k], _den)``.
+    """
 
     dim: int
     basis_labels: tuple[str, ...]
@@ -86,9 +121,19 @@ class SCAlgebra:
     paths: tuple | None = None   # path bookkeeping for (bound) path algebras
     quiver: object | None = None
     _index: dict[str, int] = field(init=False, repr=False)
+    _int_mult: IntTable = field(init=False, repr=False)
+    _den: int = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.basis_labels)})
+        entries = [(key, k) for key, d in self.mult.items() for k in d]
+        ints, den = _integral([self.mult[key][k] for key, k in entries])
+        int_mult: IntTable = {}
+        for e, n in ints:
+            key, k = entries[e]
+            int_mult.setdefault(key, {})[k] = n
+        object.__setattr__(self, "_int_mult", int_mult)
+        object.__setattr__(self, "_den", den)
 
     def index_of(self, label: str) -> int:
         try:
@@ -106,22 +151,28 @@ class SCAlgebra:
         return self.mult.get((i, j), {})
 
     def mul_vec(self, x: Sequence, y: Sequence) -> Vec:
+        xs, dx = _integral(x)
+        ys, dy = _integral(y) if xs else ((), 1)
         out = [ZERO] * self.dim
-        mult = self.mult
-        # most zeros are the shared ZERO: the identity test is much cheaper
-        # than Fraction.__bool__, which still catches any other zero
-        ys = [(j, yj) for j, yj in enumerate(y) if yj is not ZERO and yj]
-        for i, xi in enumerate(x):
-            if xi is ZERO or not xi:
-                continue
+        den = dx * dy * self._den
+        for k, v in self._mul_int(xs, ys).items():
+            if v:
+                out[k] = Fraction(v, den) if den != 1 else Fraction(v)
+        return tuple(out)
+
+    def _mul_int(self, xs: IntPairs, ys: IntPairs) -> dict[int, int]:
+        """sum X_i Y_j T_ijk over the integer table: den * x * y for integral x, y."""
+        acc: dict[int, int] = {}
+        table = self._int_mult
+        for i, xi in xs:
             for j, yj in ys:
-                d = mult.get((i, j))
+                d = table.get((i, j))
                 if not d:
                     continue
                 c = xi * yj
                 for k, t in d.items():
-                    out[k] += c * t
-        return tuple(out)
+                    acc[k] = acc.get(k, 0) + c * t
+        return acc
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         cols = [self.mul_vec(x, self.basis_vec(j)) for j in range(self.dim)]
@@ -168,7 +219,11 @@ def make_algebra(labels: Sequence[str], table, unit: Sequence, **bookkeeping) ->
 
 
 def validate_algebra(a: SCAlgebra) -> SCAlgebra:
-    """Exhaustively verify associativity and the unit laws."""
+    """Exhaustively verify associativity and the unit laws.
+
+    Associativity is homogeneous of degree two in the structure constants,
+    so it is checked exactly on the integer table.
+    """
     n = a.dim
     if len(a.unit) != n:
         raise DimensionMismatch("unit vector has wrong length")
@@ -178,17 +233,19 @@ def validate_algebra(a: SCAlgebra) -> SCAlgebra:
             raise ValidationError(
                 f"unit law fails on basis element {a.basis_labels[i]}", witness=i
             )
+    table = a._int_mult
+    empty: dict[int, int] = {}
     for i in range(n):
         for j in range(n):
-            d_ij = a.mul_basis(i, j)
+            d_ij = table.get((i, j), empty)
             for k in range(n):
-                lhs = [ZERO] * n
+                lhs = [0] * n
                 for l, c in d_ij.items():
-                    for m, t in a.mul_basis(l, k).items():
+                    for m, t in table.get((l, k), empty).items():
                         lhs[m] += c * t
-                rhs = [ZERO] * n
-                for l, c in a.mul_basis(j, k).items():
-                    for m, t in a.mul_basis(i, l).items():
+                rhs = [0] * n
+                for l, c in table.get((j, k), empty).items():
+                    for m, t in table.get((i, l), empty).items():
                         rhs[m] += c * t
                 if lhs != rhs:
                     raise ValidationError(
@@ -733,23 +790,34 @@ def hom_from_images(source: SCAlgebra, target: SCAlgebra, images: Sequence[Seque
 def validate_hom(f: AlgebraHom) -> AlgebraHom:
     """Verify unitality and multiplicativity on all basis pairs.
 
-    Sets the surjectivity flag from the rank; for surjective maps also
-    asserts f(J(A)) = J(B), which every surjection must satisfy.
+    Multiplicativity is checked on integers: with G = dF * F integral,
+    f(e_i e_j) = f(e_i) f(e_j) iff (sum_k TA_ijk G_k) * den_B * dF equals
+    G_i G_j (over TB) * den_A.  Sets the surjectivity flag from the rank; for
+    surjective maps also asserts f(J(A)) = J(B), which every surjection must
+    satisfy.
     """
     a, b = f.source, f.target
     if f.matrix.rows != b.dim or f.matrix.cols != a.dim:
         raise DimensionMismatch("hom matrix has the wrong shape")
     if f.apply(a.unit) != b.unit:
         raise ValidationError("homomorphism does not preserve the unit")
-    cols = [f.matrix.col(i) for i in range(a.dim)]
+    # the integral columns G_k of G = d_f * F, from one pass over F by columns
+    ints, d_f = _integral([x for k in range(a.dim) for x in f.matrix.col(k)])
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
+    for e, g in ints:
+        k, m = divmod(e, b.dim)
+        cols[k].append((m, g))
+    lhs_scale, rhs_scale = b._den * d_f, a._den
+    empty: dict[int, int] = {}
     for i in range(a.dim):
         for j in range(a.dim):
-            lhs = [ZERO] * b.dim
-            for k, c in a.mul_basis(i, j).items():
-                for m, t in enumerate(cols[k]):
-                    if t:
-                        lhs[m] += c * t
-            if tuple(lhs) != b.mul_vec(cols[i], cols[j]):
+            lhs: dict[int, int] = {}
+            for k, c in a._int_mult.get((i, j), empty).items():
+                for m, g in cols[k]:
+                    lhs[m] = lhs.get(m, 0) + c * g
+            rhs = b._mul_int(cols[i], cols[j])
+            if ({m: v * lhs_scale for m, v in lhs.items() if v}
+                    != {m: v * rhs_scale for m, v in rhs.items() if v}):
                 raise ValidationError(
                     f"not multiplicative on ({a.basis_labels[i]}, {a.basis_labels[j]})",
                     witness=(i, j),
@@ -786,7 +854,13 @@ def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraH
     for left, right in ((full, ideal), (ideal, full)):
         if not products_within(a.mul_vec, left, right, ideal):
             raise ValidationError("subspace is not a two-sided ideal")
-    reps = quotient_basis(full, ideal)
+    return _quotient_by_ideal(a, ideal)
+
+
+def _quotient_by_ideal(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraHom]:
+    """The quotient and projection of ``quotient_algebra``, for callers that
+    already hold a proof that ``ideal`` is a proper two-sided ideal."""
+    reps = quotient_basis(a.full_space(), ideal)
     r = len(reps)
     rep_indices = []
     for v in reps:

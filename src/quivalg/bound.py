@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import SCAlgebra, AlgebraHom, algebra_from_paths, path_index, quotient_algebra
+from .algebra import SCAlgebra, AlgebraHom, _quotient_by_ideal, algebra_from_paths, path_index
 from .errors import InadmissibleIdeal, QuivalgError, ValidationError
 from .linalg import (
     Subspace,
@@ -180,7 +180,9 @@ def bound_algebra(r: RelationSet) -> tuple[SCAlgebra, AlgebraHom]:
             else "no power of the arrow ideal falls inside"
         )
         raise InadmissibleIdeal(f"relation set is not admissible: {detail}")
-    quotient, proj = quotient_algebra(t, ideal)
+    # ideal_closure only returns once A*I + I*A adds nothing, and I <= R_Q^2
+    # is proper: the ideal is proved, so skip quotient_algebra's re-proof
+    quotient, proj = _quotient_by_ideal(t, ideal)
     if quotient.paths is None:
         raise QuivalgError("bound algebra lost its path bookkeeping")
     expected = _dimension_bookkeeping(t, ideal, report.m)

@@ -203,7 +203,9 @@ def cmd_rep(args) -> int:
         mod = repcat.rep_to_module(rep, bound=rel)
         print(f"# module over a path algebra of dimension {mod.algebra.dim}")
         for lab, mat in zip(mod.algebra.basis_labels, mod.action):
-            body = " ; ".join(" ".join(str(x) for x in row) for row in mat.entries)
+            body = " ; ".join(
+                " ".join(formats.scalar_to_text(x) for x in row) for row in mat.entries
+            )
             print(f"action {lab}: {body}")
         if args.roundtrip:
             ok = _report(repcat.roundtrip_is_identity(mod), "roundtrip")

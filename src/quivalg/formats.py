@@ -10,6 +10,7 @@ themselves may contain ``*`` (bound path algebras use path labels like
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,14 +32,21 @@ def _lines(text: str) -> list[str]:
     return out
 
 
+def _shown(token: str) -> str:
+    """The token for an error message, cut short when it is long."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_scalar(token: str) -> Fraction:
     # Fraction alone also takes exponents, and expands 1e100000000 to 10^8 digits
     if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
-        raise FormatError(f"bad scalar {token!r}: expected p or p/q")
+        raise FormatError(f"bad scalar {_shown(token)}: expected p or p/q")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad scalar {token!r}: {exc}") from None
+        raise FormatError(f"bad scalar {_shown(token)}: {exc}") from None
 
 
 def check_label(label: str) -> str:
@@ -48,7 +56,12 @@ def check_label(label: str) -> str:
 
 
 def scalar_to_text(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # Python refuses to write long integers in decimal
+        raise FormatError(
+            f"scalar too large to write: over {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_lincomb(text: str) -> list[tuple[Fraction, str]]:
@@ -77,7 +90,7 @@ def lincomb_to_text(vector: Sequence, labels: Sequence[str]) -> str:
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
-        parts.append((sign, f"{abs(c)}*{lab}"))
+        parts.append((sign, f"{scalar_to_text(abs(c))}*{lab}"))
     if not parts:
         return "0"
     first_sign, first = parts[0]
@@ -333,7 +346,7 @@ def rep_to_text(rep) -> str:
     for lab, _, _ in rep.quiver.arrows:
         m = rep.maps[lab]
         body = " ; ".join(
-            " ".join(str(x) for x in row) for row in m.entries
+            " ".join(scalar_to_text(x) for x in row) for row in m.entries
         )
         out.append(f"map {lab}: {body}")
     return "\n".join(out) + "\n"

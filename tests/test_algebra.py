@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quivalg import algebra as alg
-from quivalg import bound, corpus
+from quivalg import adjunction, bound, corpus
 from quivalg.errors import NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError
-from quivalg.linalg import canonicalize, is_zero_vec, products_within, unit_vec
+from quivalg.linalg import Matrix, canonicalize, is_zero_vec, products_within, unit_vec
 from quivalg.quiver import path_algebra, validate_quiver
 
 
@@ -290,6 +290,283 @@ class TestSkippedChecksAsOracles:
                 alg.quotient_algebra(t, ideal)
             return
         assert_radical_powers_are_ideals(assert_quotient_passes_full_checks(t, ideal))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.integers(2, 5),
+        st.lists(st.lists(st.integers(-2, 2), min_size=12, max_size=12),
+                 min_size=1, max_size=2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bound_algebras_of_small_quivers(self, seed, n, m, coeffs):
+        # bound_algebra trusts ideal_closure instead of quotient_algebra's check
+        q = corpus.random_acyclic_quiver(random.Random(seed), n, m)
+        long_paths = [p for p in path_algebra(q).paths if p.length >= 2]
+        assume(long_paths)
+        relations = [[(c, p.arrows) for c, p in zip(row, long_paths) if c]
+                     for row in coeffs]
+        r = bound.relation_set(q, [rel for rel in relations if rel])
+        quotient, proj = bound.bound_algebra(r)
+        assert proj.source.dim - quotient.dim == bound.ideal_closure(
+            proj.source, [bound.relation_vector(proj.source, rel) for rel in r.relations]
+        ).dim
+        alg.validate_algebra(quotient)
+        alg.validate_hom(proj)
+        assert proj.surjective
+        assert_radical_powers_are_ideals(quotient)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer table against the Fraction loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_mul_vec(a, x, y):
+    """x * y summed term by term over the Fraction table."""
+    out = [Fraction(0)] * a.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            for k, t in a.mul_basis(i, j).items():
+                out[k] += xi * yj * t
+    return tuple(out)
+
+
+def fraction_validate_algebra(a):
+    """validate_algebra as Fraction loops: unit laws, then (ij)k = i(jk)."""
+    n = a.dim
+    for i in range(n):
+        e = a.basis_vec(i)
+        if fraction_mul_vec(a, a.unit, e) != e or fraction_mul_vec(a, e, a.unit) != e:
+            raise ValidationError(
+                f"unit law fails on basis element {a.basis_labels[i]}", witness=i
+            )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = [Fraction(0)] * n
+                for l, c in a.mul_basis(i, j).items():
+                    for m, t in a.mul_basis(l, k).items():
+                        lhs[m] += c * t
+                rhs = [Fraction(0)] * n
+                for l, c in a.mul_basis(j, k).items():
+                    for m, t in a.mul_basis(i, l).items():
+                        rhs[m] += c * t
+                if lhs != rhs:
+                    raise ValidationError(
+                        "associativity fails on "
+                        f"({a.basis_labels[i]}, {a.basis_labels[j]}, {a.basis_labels[k]})",
+                        witness=(i, j, k),
+                    )
+    return a
+
+
+def fraction_validate_hom(f):
+    """validate_hom with f(e_i e_j) = f(e_i) f(e_j) checked in Fractions."""
+    a, b = f.source, f.target
+    if f.apply(a.unit) != b.unit:
+        raise ValidationError("homomorphism does not preserve the unit")
+    cols = [f.matrix.col(i) for i in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = [Fraction(0)] * b.dim
+            for k, c in a.mul_basis(i, j).items():
+                for m, t in enumerate(cols[k]):
+                    lhs[m] += c * t
+            if tuple(lhs) != fraction_mul_vec(b, cols[i], cols[j]):
+                raise ValidationError(
+                    f"not multiplicative on ({a.basis_labels[i]}, {a.basis_labels[j]})",
+                    witness=(i, j),
+                )
+    f.surjective = f.matrix.rank() == b.dim
+    if f.surjective:
+        image = canonicalize([f.apply(r) for r in alg.radical(a).radical.basis_rows()], b.dim)
+        if image != alg.radical(b).radical:
+            raise ValidationError("surjective hom does not map J(A) onto J(B)")
+    return f
+
+
+def outcome(check, obj):
+    """What a check does to obj: None when it passes, else the error it raises."""
+    try:
+        check(obj)
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def transport(a, p):
+    """a in the basis of the columns of the invertible matrix p, unvalidated."""
+    n = a.dim
+    inv = p.inverse()
+    cols = [p.col(i) for i in range(n)]
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            coords = inv.apply(fraction_mul_vec(a, cols[i], cols[j]))
+            entry = {k: c for k, c in enumerate(coords) if c}
+            if entry:
+                table[(i, j)] = entry
+    return alg.SCAlgebra(n, tuple(f"f{i}" for i in range(n)), table, inv.apply(a.unit))
+
+
+def lu_matrix(n, lower, upper, diagonal):
+    """L * U with unit lower L and nonzero diagonal in U: always invertible."""
+    entries = iter(lower)
+    low = Matrix(n, n, [[1 if r == c else next(entries) if c < r else 0
+                         for c in range(n)] for r in range(n)])
+    entries = iter(upper)
+    up = Matrix(n, n, [[diagonal[r] if r == c else next(entries) if c > r else 0
+                        for c in range(n)] for r in range(n)])
+    return low * up
+
+
+SMALL_ALGEBRAS = [
+    alg.upper_triangular(2), alg.upper_triangular(3), alg.truncated_poly(3),
+    alg.group_algebra(alg.cyclic_group_table(3)), alg.matrix_algebra(2),
+    corpus.c_subalgebra_u3(),
+]
+fractions_ = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+nonzero_fractions = fractions_.filter(bool)
+
+
+def fixing_the_unit(a, p):
+    """p with the columns on the unit's support replaced by unit vectors.
+
+    For a unit that is a sum of basis vectors, the transport keeps it
+    sparse, so a table broken off the support passes the unit laws.
+    """
+    n = a.dim
+    return Matrix(n, n, [[(1 if r == c else 0) if a.unit[c] else x
+                          for c, x in enumerate(row)] for r, row in enumerate(p.entries)])
+
+
+@st.composite
+def transported_algebras(draw):
+    a = draw(st.sampled_from(SMALL_ALGEBRAS))
+    n = a.dim
+    size = n * (n - 1) // 2
+    p = lu_matrix(
+        n,
+        draw(st.lists(fractions_, min_size=size, max_size=size)),
+        draw(st.lists(fractions_, min_size=size, max_size=size)),
+        draw(st.lists(nonzero_fractions, min_size=n, max_size=n)),
+    )
+    if draw(st.booleans()):
+        p = fixing_the_unit(a, p)
+        assume(p.rank() == n)
+    return a, p, transport(a, p)
+
+
+def broken_in_one_entry(a, i, j, k, delta):
+    """a with delta added to the coefficient of e_k in e_i * e_j, unvalidated."""
+    table = {key: dict(d) for key, d in a.mult.items()}
+    entry = table.setdefault((i, j), {})
+    entry[k] = entry.get(k, Fraction(0)) + delta
+    if not entry[k]:
+        del entry[k]
+    if not entry:
+        del table[(i, j)]
+    return alg.SCAlgebra(a.dim, a.basis_labels, table, a.unit)
+
+
+class TestIntegerTableAgainstFractionLoops:
+    def test_fractional_transport_has_a_denominator(self):
+        a = alg.upper_triangular(2)
+        p = Matrix(3, 3, [[1, Fraction(1, 2), 0], [0, 1, Fraction(2, 3)], [0, 0, 3]])
+        b = transport(a, p)
+        assert b._den > 1
+        for (i, j), d in b.mult.items():
+            for k, c in d.items():
+                assert Fraction(b._int_mult[(i, j)][k], b._den) == c
+        assert alg.validate_algebra(b) is b
+
+    @given(transported_algebras(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mul_vec(self, case, data):
+        _, _, b = case
+        vectors = st.lists(fractions_, min_size=b.dim, max_size=b.dim)
+        x, y = data.draw(vectors), data.draw(vectors)
+        product = b.mul_vec(x, y)
+        assert product == fraction_mul_vec(b, x, y)
+        assert all(type(c) is Fraction for c in product)
+
+    @given(transported_algebras(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_validate_algebra(self, case, data):
+        _, _, b = case
+        assert outcome(alg.validate_algebra, b) is None
+        assert outcome(fraction_validate_algebra, b) is None
+        n = b.dim
+        # entries off the unit's support leave the unit laws to associativity
+        off_unit = [x for x in range(n) if not b.unit[x]] or list(range(n))
+        i, j = (data.draw(st.sampled_from(off_unit)) for _ in range(2))
+        k = data.draw(st.integers(0, n - 1))
+        broken = broken_in_one_entry(b, i, j, k, data.draw(nonzero_fractions))
+        expected = outcome(fraction_validate_algebra, broken)
+        assert outcome(alg.validate_algebra, broken) == expected
+        x = data.draw(st.lists(fractions_, min_size=n, max_size=n))
+        assert broken.mul_vec(x, x) == fraction_mul_vec(broken, x, x)
+
+    @given(transported_algebras(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_validate_hom(self, case, data):
+        a, p, b = case
+        iso = alg.AlgebraHom(b, a, p)
+        assert outcome(alg.validate_hom, iso) is None and iso.surjective
+        assert outcome(fraction_validate_hom, alg.AlgebraHom(b, a, p)) is None
+        # p + delta * e_r w^T with w orthogonal to the unit coordinates keeps
+        # the unit, so the multiplicativity loop decides
+        n, u = b.dim, b.unit
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        d = next(i for i, x in enumerate(u) if x)
+        if c == d:
+            c = (d + 1) % n
+        w = [Fraction(0)] * n
+        w[c] += 1
+        w[d] -= u[c] / u[d]
+        delta = data.draw(nonzero_fractions)
+        broken = Matrix(n, n, [[x + (delta * w[col] if row == r else 0)
+                                for col, x in enumerate(p_row)]
+                               for row, p_row in enumerate(p.entries)])
+        expected = outcome(fraction_validate_hom, alg.AlgebraHom(b, a, broken))
+        assert outcome(alg.validate_hom, alg.AlgebraHom(b, a, broken)) == expected
+
+    def test_broken_entry_witnesses(self):
+        a = alg.upper_triangular(3)
+        p = lu_matrix(6, [Fraction(k, 3) for k in range(15)],
+                      [Fraction(1, k + 2) for k in range(15)], [1, 2, 3, 4, 5, 6])
+        b = alg.validate_algebra(transport(a, fixing_the_unit(a, p)))
+        assert b._den > 1 and b.unit == a.unit
+        e12, e13, e23 = (a.index_of(l) for l in ("E12", "E13", "E23"))
+        for i, j, k in ((e12, e23, e13), (e23, e12, e12), (e13, e13, e23)):
+            broken = broken_in_one_entry(b, i, j, k, Fraction(5, 7))
+            expected = outcome(fraction_validate_algebra, broken)
+            assert expected[1].startswith("associativity fails")
+            assert outcome(alg.validate_algebra, broken) == expected
+
+
+class TestDenseUpperTriangular:
+    def test_dense_u4_presents_like_u4(self):
+        u4 = alg.upper_triangular(4)
+        rng = random.Random(4)
+        while True:
+            p = Matrix(10, 10, [[rng.randint(-2, 2) for _ in range(10)] for _ in range(10)])
+            if p.rank() == 10:
+                break
+        dense = alg.validate_algebra(transport(u4, p))
+        assert dense._den > 1
+        filt = alg.radical(dense)
+        assert [s.dim for s in filt.powers] == [10, 6, 3, 1, 0]
+        pres = adjunction.present_as_bound_quiver(dense)
+        assert pres.admissible_m == 4 and pres.kernel.dim == 0
+        vq = pres.gabriel.vquiver
+        assert len(vq.vertices) == 4 and vq.total_edge_dim() == 3
+        assert alg.is_isomorphism(pres.isomorphism)
 
 
 class TestIdempotents:

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,23 @@ class TestScalarsAndLincombs:
         with pytest.raises(FormatError):
             formats.parse_scalar("1e100000000")
         assert time.perf_counter() - start < 1.0
+
+    def test_long_token_is_quoted_short(self):
+        token = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(FormatError) as err:
+            formats.parse_scalar(token)
+        message = str(err.value)
+        assert len(message) < 400
+        assert f"({len(token)} characters)" in message
+
+    def test_scalar_too_large_to_write(self):
+        limit = sys.get_int_max_str_digits()
+        for x in (Fraction(10**limit), Fraction(1, 10**limit), Fraction(-(10**limit), 7)):
+            with pytest.raises(FormatError, match=f"over {limit} digits"):
+                formats.scalar_to_text(x)
+        with pytest.raises(FormatError):
+            formats.lincomb_to_text((Fraction(10**limit),), ("a",))
+        assert formats.scalar_to_text(Fraction(10**(limit - 1))) == str(10**(limit - 1))
 
     def test_lincomb_roundtrip(self):
         labels = ("a", "b", "c")
@@ -361,6 +379,28 @@ def console_script_command(name):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return [sys.executable, "-c", code], env
+
+
+class TestLargeScalarOutput:
+    def test_unwritable_action_exits_2_without_traceback(self, tmp_path):
+        # each map has 3001 digits, so the path a*b acts by a 6001-digit scalar
+        big = "1" + "0" * 3000
+        qf = tmp_path / "a3.quiver"
+        qf.write_text("quiver\nvertex 1\nvertex 2\nvertex 3\n"
+                      "arrow a: 1 -> 2\narrow b: 2 -> 3\n")
+        rf = tmp_path / "big.rep"
+        rf.write_text(f"rep\nspace 1: 1\nspace 2: 1\nspace 3: 1\nmap a: {big}\nmap b: {big}\n")
+        command, env = console_script_command("quivalg")
+        result = subprocess.run(
+            command + ["rep", "convert", str(rf), "--quiver", str(qf)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        limit = sys.get_int_max_str_digits()
+        assert result.stderr == (
+            f"error (malformed input): scalar too large to write: over {limit} digits\n"
+        )
 
 
 class TestHashSeedIndependence:
