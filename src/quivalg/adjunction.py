@@ -141,6 +141,14 @@ def corner_subspace(a: SCAlgebra, e: Vec, f: Vec, space: Subspace) -> Subspace:
     )
 
 
+def _edge_basis(
+    a: SCAlgebra, e: Vec, f: Vec, filt: RadicalFiltration
+) -> tuple[Subspace, list[Vec]]:
+    """The corner e J f and RREF-completion representatives of e(J/J^2)f."""
+    corner = corner_subspace(a, e, f, filt.radical)
+    return corner, quotient_basis(corner, subspace_intersect(corner, filt.power(2)))
+
+
 def edge_dimension_matrix(a: SCAlgebra, idems: Sequence[Vec]) -> dict[tuple[Vec, Vec], int]:
     """dim e(J/J^2)f per ordered pair, keyed by the canonical orbit keys.
 
@@ -148,15 +156,12 @@ def edge_dimension_matrix(a: SCAlgebra, idems: Sequence[Vec]) -> dict[tuple[Vec,
     what makes the choice-independence property directly testable.
     """
     filt = radical(a)
-    j, j2 = filt.radical, filt.power(2)
     _, proj = semisimple_quotient(a)
-    out: dict[tuple[Vec, Vec], int] = {}
-    for e in idems:
-        for f in idems:
-            corner = corner_subspace(a, e, f, j)
-            overlap = subspace_intersect(corner, j2)
-            out[(proj.apply(e), proj.apply(f))] = corner.dim - overlap.dim
-    return out
+    return {
+        (proj.apply(e), proj.apply(f)): len(_edge_basis(a, e, f, filt)[1])
+        for e in idems
+        for f in idems
+    }
 
 
 @memoized
@@ -168,7 +173,6 @@ def gabriel_vquiver(a: SCAlgebra) -> GabrielVquiver:
     representatives of e_i J e_j modulo J^2.  Memoized on the algebra.
     """
     filt = radical(a)
-    j, j2 = filt.radical, filt.power(2)
     idems = lift_idempotents(a)
     b, proj = semisimple_quotient(a)
     keys = tuple(proj.apply(e) for e in idems.idempotents)
@@ -184,10 +188,9 @@ def gabriel_vquiver(a: SCAlgebra) -> GabrielVquiver:
     edge_spaces: dict[tuple[str, str], list[str]] = {}
     for i, e in enumerate(idems.idempotents):
         for jdx, f in enumerate(idems.idempotents):
-            corner = corner_subspace(a, e, f, j)
+            corner, reps = _edge_basis(a, e, f, filt)
             corners[(i, jdx)] = corner
-            reps = tuple(quotient_basis(corner, subspace_intersect(corner, j2)))
-            edge_reps[(i, jdx)] = reps
+            edge_reps[(i, jdx)] = tuple(reps)
             if reps:
                 edge_spaces[(labels[i], labels[jdx])] = [
                     f"ar_{i}_{jdx}_{k}" for k in range(len(reps))
@@ -351,14 +354,13 @@ def _counit(a: SCAlgebra, section_rng: random.Random | None) -> NDepthClass:
             continue
         pair = (ga.vquiver.vertices[i], ga.vquiver.vertices[jdx])
         labs = ga.vquiver.edge_labels[pair]
-        perturb_space = subspace_intersect(ga.corners[(i, jdx)], j2)
+        perturb_rows = ()
+        if section_rng is not None:
+            perturb_rows = subspace_intersect(ga.corners[(i, jdx)], j2).basis_rows()
         for lab, rep in zip(labs, reps):
             image = rep
-            if section_rng is not None and perturb_space.dim:
-                for row in perturb_space.basis_rows():
-                    image = vec_add(
-                        image, vec_scale(frac(section_rng.randint(-3, 3)), row)
-                    )
+            for row in perturb_rows:
+                image = vec_add(image, vec_scale(frac(section_rng.randint(-3, 3)), row))
             section[lab] = image
     images = []
     for p in t.paths:

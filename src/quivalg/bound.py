@@ -21,7 +21,6 @@ from .linalg import (
     canonicalize,
     frac,
     subspace_contains,
-    subspace_intersect,
     subspace_sum,
     vec_add,
     vec_scale,
@@ -194,9 +193,11 @@ def bound_algebra(r: RelationSet) -> tuple[SCAlgebra, AlgebraHom]:
 
 
 def _dimension_bookkeeping(t: SCAlgebra, ideal: Subspace, m: int) -> int:
-    """dim kQ/I = #paths shorter than m minus dim(I within their span)."""
+    """dim kQ/I = #paths shorter than m minus dim(I within their span).
+
+    By Grassmann that is dim(short + I) - dim(I), so no intersection is formed.
+    """
     short = canonicalize(
         [t.basis_vec(i) for i, p in enumerate(t.paths) if p.length < m], t.dim
     )
-    overlap = subspace_intersect(ideal, short)
-    return short.dim - overlap.dim
+    return subspace_sum(short, ideal).dim - ideal.dim

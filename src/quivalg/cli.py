@@ -29,6 +29,11 @@ def _read(path: str | None) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
+def _lines(lines: list[str]) -> str:
+    """A whole report as one string: an unwritable scalar then prints nothing."""
+    return "".join(line + "\n" for line in lines)
+
+
 def _report(ok: bool, check_id: str, detail: str = "") -> bool:
     print(f"{'PASS' if ok else 'FAIL'} {check_id} {detail}".rstrip())
     return ok
@@ -114,13 +119,14 @@ def cmd_algebra(args) -> int:
     a = formats.parse_algebra(_read(args.file))
     if args.action == "radical":
         filt = alg.radical(a)
-        print(f"dim J = {filt.radical.dim}")
+        out = [f"dim J = {filt.radical.dim}"]
         for i, power in enumerate(filt.powers):
             if i == 0:
                 continue
-            print(f"J^{i}: dim {power.dim}")
+            out.append(f"J^{i}: dim {power.dim}")
             for row in power.basis.entries:
-                print("  " + formats.lincomb_to_text(row, a.basis_labels))
+                out.append("  " + formats.lincomb_to_text(row, a.basis_labels))
+        sys.stdout.write(_lines(out))
         return 0
     if args.action == "info":
         print(f"dim: {a.dim}")
@@ -136,23 +142,26 @@ def cmd_algebra(args) -> int:
         return 0
     if args.action == "idempotents":
         idems = alg.lift_idempotents(a)
-        for k, e in enumerate(idems.idempotents):
-            print(f"e{k} = " + formats.lincomb_to_text(e, a.basis_labels))
+        sys.stdout.write(_lines([
+            f"e{k} = " + formats.lincomb_to_text(e, a.basis_labels)
+            for k, e in enumerate(idems.idempotents)
+        ]))
         return 0
     if args.action == "gabriel":
         ga = adj.gabriel_vquiver(a)
-        sys.stdout.write(formats.vquiver_to_text(ga.vquiver))
-        for (i, j), reps in sorted(ga.edge_reps.items()):
-            for k, rep in enumerate(reps):
-                print(
-                    f"# rep ar_{i}_{j}_{k} = "
-                    + formats.lincomb_to_text(rep, a.basis_labels)
-                )
+        lines = [
+            f"# rep ar_{i}_{j}_{k} = " + formats.lincomb_to_text(rep, a.basis_labels)
+            for (i, j), reps in sorted(ga.edge_reps.items())
+            for k, rep in enumerate(reps)
+        ]
+        sys.stdout.write(formats.vquiver_to_text(ga.vquiver) + _lines(lines))
         return 0
     if args.action == "present":
         pres = adj.present_as_bound_quiver(a)
-        sys.stdout.write(formats.vquiver_to_text(pres.gabriel.vquiver))
-        sys.stdout.write(formats.relations_to_text(pres.relations))
+        sys.stdout.write(
+            formats.vquiver_to_text(pres.gabriel.vquiver)
+            + formats.relations_to_text(pres.relations)
+        )
         ok = _report(
             alg.is_isomorphism(pres.isomorphism),
             "presentation",
@@ -201,12 +210,13 @@ def cmd_rep(args) -> int:
         return 0
     if args.action == "convert":
         mod = repcat.rep_to_module(rep, bound=rel)
-        print(f"# module over a path algebra of dimension {mod.algebra.dim}")
+        out = [f"# module over a path algebra of dimension {mod.algebra.dim}"]
         for lab, mat in zip(mod.algebra.basis_labels, mod.action):
             body = " ; ".join(
                 " ".join(formats.scalar_to_text(x) for x in row) for row in mat.entries
             )
-            print(f"action {lab}: {body}")
+            out.append(f"action {lab}: {body}")
+        sys.stdout.write(_lines(out))
         if args.roundtrip:
             ok = _report(repcat.roundtrip_is_identity(mod), "roundtrip")
             return 0 if ok else 1

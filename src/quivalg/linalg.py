@@ -11,12 +11,12 @@ reduces each incoming vector on insertion and drops it when it reduces to
 zero, stops taking vectors once the rank equals the ambient dimension, and
 back-substitutes once at the end to give the unique RREF.  ``Matrix.rref``,
 ``rank``, ``nullspace``, ``solve``, ``inverse``, ``canonicalize``,
-``subspace_sum``, ``bilinear_image`` and ``quotient_basis`` all run through
-it.  Its outputs are wrapped by the trusted ``Matrix._trusted`` constructor,
-which skips the entry coercion of the public ``Matrix(...)``.  A
-``Subspace`` computes its pivots and sparse rows once, so membership tests
-(``contains_vector``, ``subspace_contains``, ``products_within``) reduce
-against them without building new subspaces.
+``subspace_sum``, ``subspace_intersect``, ``bilinear_image`` and
+``quotient_basis`` all run through it.  Its outputs are wrapped by the
+trusted ``Matrix._trusted`` constructor, which skips the entry coercion of
+the public ``Matrix(...)``.  A ``Subspace`` computes its pivots and sparse
+rows once, so membership tests (``contains_vector``, ``subspace_contains``,
+``products_within``) reduce against them without building new subspaces.
 
 Conventions fixed here and used by every other module:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, QuivalgError
 
@@ -503,26 +503,21 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Intersection via the standard kernel construction.
+    """Intersection by one Zassenhaus pass over Q^2n.
 
-    A vector lies in both spans iff it is a U-combination a and a
-    W-combination b with a*U - b*W = 0, i.e. (a, b) is in the kernel of the
-    transposed stacked basis matrix.
+    The echelon is seeded with w's RREF rows, read as (w, 0), and then takes
+    (x, x) for each row x of u.  A row whose pivot lies in the right half
+    has a zero left half, and those right halves span u ∩ w.
     """
     _check_same_ambient(u, w)
-    if u.dim == 0 or w.dim == 0:
-        return zero_subspace(u.ambient_dim)
-    stacked = vstack([u.basis, w.basis.scale(-1)])
-    kernel = stacked.transpose().nullspace()
-    vectors = []
-    for k in kernel:
-        a = k[: u.dim]
-        v = zero_vec(u.ambient_dim)
-        for c, row in zip(a, u.basis_rows()):
-            if c:
-                v = vec_add(v, vec_scale(c, row))
-        vectors.append(v)
-    return canonicalize(vectors, u.ambient_dim)
+    n = u.ambient_dim
+    acc = _Echelon(2 * n, w).extend(x + x for x in u.basis_rows())
+    meet = _Echelon(n)
+    for p in acc.order:
+        if p >= n:
+            meet.rows[p - n] = {j - n: x for j, x in acc.rows[p].items()}
+            meet.order.append(p - n)
+    return meet.subspace()
 
 
 def subspace_contains(u: Subspace, w: Subspace) -> bool:
@@ -545,41 +540,15 @@ def quotient_basis(u: Subspace, w: Subspace) -> list[Vec]:
     return [row for row in u.basis_rows() if span.add(row)]
 
 
-def _as_bilinear(mult, ambient_dim: int) -> Callable[[Vec, Vec], Vec]:
-    """Accept either a callable (x, y) -> vec or a dense structure tensor."""
-    if callable(mult):
-        return mult
-
-    tensor = [[vec(col) for col in row] for row in mult]
-    if len(tensor) != ambient_dim or any(len(r) != ambient_dim for r in tensor):
-        raise DimensionMismatch("structure tensor shape mismatch")
-
-    def product(x: Vec, y: Vec) -> Vec:
-        out = [ZERO] * ambient_dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, t in enumerate(tensor[i][j]):
-                    if t:
-                        out[k] += c * t
-        return tuple(out)
-
-    return product
-
-
 def bilinear_image(mult, u: Subspace, w: Subspace) -> Subspace:
     """Span of all products mult(x, y) over basis vectors of u and w.
 
+    ``mult`` is a bilinear map of vectors, such as ``SCAlgebra.mul_vec``.
     Products are formed lazily and no more are formed once they span the
     whole ambient space.
     """
     _check_same_ambient(u, w)
-    product = _as_bilinear(mult, u.ambient_dim)
-    products = (product(x, y) for x in u.basis_rows() for y in w.basis_rows())
+    products = (mult(x, y) for x in u.basis_rows() for y in w.basis_rows())
     return _Echelon(u.ambient_dim).extend(products).subspace()
 
 
@@ -592,9 +561,8 @@ def products_within(mult, u: Subspace, w: Subspace, s: Subspace) -> bool:
     """
     _check_same_ambient(u, w)
     _check_same_ambient(u, s)
-    product = _as_bilinear(mult, u.ambient_dim)
     return all(
-        s.contains_vector(product(x, y))
+        s.contains_vector(mult(x, y))
         for x in u.basis_rows()
         for y in w.basis_rows()
     )

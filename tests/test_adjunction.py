@@ -10,7 +10,7 @@ from quivalg import adjunction as adj
 from quivalg import algebra as alg
 from quivalg import bound, corpus, linalg
 from quivalg.errors import CyclicInput, QuivalgError, ValidationError
-from quivalg.linalg import Matrix, canonicalize
+from quivalg.linalg import Matrix, canonicalize, quotient_basis
 from quivalg.quiver import path_algebra, validate_quiver
 from quivalg.vquiver import (
     compose_vquiver_maps,
@@ -20,6 +20,8 @@ from quivalg.vquiver import (
     validate_vquiver,
     vquiver_maps_equal,
 )
+from test_algebra import lu_matrix, transport
+from test_linalg import kernel_intersect
 
 
 def u3_edge_dims_by_matrix_units(n=3):
@@ -133,6 +135,41 @@ class TestGabriel:
             adj.gabriel_vquiver(alg.matrix_algebra(2))
 
 
+def dense_upper_triangular(n, rng):
+    """U_n transported by a seeded dense invertible change of basis."""
+    u = alg.upper_triangular(n)
+    d = u.dim
+    size = d * (d - 1) // 2
+    p = lu_matrix(
+        d,
+        [rng.randint(-2, 2) for _ in range(size)],
+        [rng.randint(-2, 2) for _ in range(size)],
+        [rng.choice([-2, -1, 1, 2]) for _ in range(d)],
+    )
+    return transport(u, p)
+
+
+class TestEdgeSpaces:
+    def test_edge_reps_against_kernel_oracle(self):
+        rng = random.Random(5)
+        cases = list(corpus.corpus_basic())
+        cases += [(f"dense-U{n}", dense_upper_triangular(n, rng)) for n in (3, 4, 5)]
+        for name, a in cases:
+            ga = adj.gabriel_vquiver(a)
+            j, j2 = ga.filtration.radical, ga.filtration.power(2)
+            idems = ga.idempotents.idempotents
+            for i, e in enumerate(idems):
+                for k, f in enumerate(idems):
+                    corner = adj.corner_subspace(a, e, f, j)
+                    assert ga.corners[(i, k)] == corner, (name, i, k)
+                    want = quotient_basis(corner, kernel_intersect(corner, j2))
+                    assert list(ga.edge_reps[(i, k)]) == want, (name, i, k)
+            keys = ga.orbit_keys
+            assert adj.edge_dimension_matrix(a, idems) == {
+                (keys[i], keys[k]): len(reps) for (i, k), reps in ga.edge_reps.items()
+            }, name
+
+
 class TestGabrielOnHom:
     def test_identity(self):
         a = alg.upper_triangular(3)
@@ -226,6 +263,28 @@ class TestUnitCounit:
             )
             # different objects, same table: compare through matrices
             assert adj.ndepth_equivalent(base.representative, other.representative, 1)
+
+    def test_canonical_counit_does_not_intersect(self, monkeypatch):
+        a = corpus.a3_bound_algebra()[0]
+        adj.gabriel_vquiver(a)
+
+        def refuse(u, w):
+            raise AssertionError("the canonical counit intersected subspaces")
+
+        monkeypatch.setattr(adj, "subspace_intersect", refuse)
+        assert adj.counit(a).representative.surjective
+
+    def test_seeded_section_perturbs_inside_j2(self):
+        # e_1 J e_3 = span{c, ab} meets J^2 = span{ab}, so the section of c
+        # moves by a multiple of ab; Random(0) draws 3 for it
+        q = validate_quiver(
+            ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")]
+        )
+        a = path_algebra(q)
+        base = adj.counit(a).representative
+        other = adj.counit(a, section_rng=random.Random(0)).representative
+        assert other.matrix != base.matrix
+        assert adj.ndepth_equivalent(base, other, 1)
 
 
 class TestTriangles:

@@ -397,6 +397,7 @@ class TestLargeScalarOutput:
         )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+        assert result.stdout == ""
         limit = sys.get_int_max_str_digits()
         assert result.stderr == (
             f"error (malformed input): scalar too large to write: over {limit} digits\n"

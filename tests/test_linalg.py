@@ -25,7 +25,11 @@ from quivalg.linalg import (
     subspace_sum,
     uncurry,
     unit_vec,
+    vec_add,
+    vec_scale,
+    vstack,
     zero_subspace,
+    zero_vec,
 )
 
 
@@ -167,16 +171,6 @@ class TestBilinearImage:
         ideal = canonicalize([(0, 1, 0), (0, 0, 1)], 3)
         sq = bilinear_image(mult, ideal, ideal)
         assert sq == canonicalize([(0, 0, 1)], 3)
-
-    def test_tensor_input_form(self):
-        # same product given as a dense structure tensor
-        tensor = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                if i + j < 3:
-                    tensor[i][j][i + j] = 1
-        ideal = canonicalize([(0, 1, 0), (0, 0, 1)], 3)
-        assert bilinear_image(tensor, ideal, ideal).dim == 1
 
 
 def random_matrix(rng, rows, cols, lo=-2, hi=2):
@@ -403,6 +397,27 @@ class TestEchelonKernelAgainstDenseOracle:
         assert all_fractions(m.entries)
 
 
+def tensor_product(tensor):
+    """Test-only bilinear map given by a dense structure tensor T[i][j][k]."""
+    n = len(tensor)
+
+    def product(x, y):
+        out = [Fraction(0)] * n
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for j, yj in enumerate(y):
+                if not yj:
+                    continue
+                c = xi * yj
+                for k, t in enumerate(tensor[i][j]):
+                    if t:
+                        out[k] += c * t
+        return tuple(out)
+
+    return product
+
+
 def tensor_strategy(n):
     return st.lists(
         st.lists(st.tuples(*[small_entries] * n), min_size=n, max_size=n),
@@ -421,12 +436,13 @@ class TestProductsWithin:
     ))
     def test_agrees_with_image_containment(self, data):
         n, tensor, us, ws, ss, absorb = data
+        mult = tensor_product(tensor)
         u, w = canonicalize(us, n), canonicalize(ws, n)
         s = canonicalize(ss, n)
         if absorb:  # make containment hold, so both verdicts get exercised
-            s = subspace_sum(s, bilinear_image(tensor, u, w))
-        want = subspace_contains(s, bilinear_image(tensor, u, w))
-        assert products_within(tensor, u, w, s) == want
+            s = subspace_sum(s, bilinear_image(mult, u, w))
+        want = subspace_contains(s, bilinear_image(mult, u, w))
+        assert products_within(mult, u, w, s) == want
 
     def test_stops_at_first_miss(self):
         calls = []
@@ -443,3 +459,65 @@ class TestProductsWithin:
         with pytest.raises(DimensionMismatch):
             products_within(lambda x, y: x, full_subspace(2), full_subspace(2),
                             full_subspace(3))
+
+
+def kernel_intersect(u, w):
+    """Test-only oracle: the kernel construction the Zassenhaus pass replaced.
+
+    A vector lies in both spans iff it is a U-combination a and a
+    W-combination b with a*U - b*W = 0, i.e. (a, b) is in the kernel of the
+    transposed stacked basis matrix.
+    """
+    if u.dim == 0 or w.dim == 0:
+        return zero_subspace(u.ambient_dim)
+    stacked = vstack([u.basis, w.basis.scale(-1)])
+    kernel = stacked.transpose().nullspace()
+    vectors = []
+    for k in kernel:
+        v = zero_vec(u.ambient_dim)
+        for c, row in zip(k[: u.dim], u.basis_rows()):
+            if c:
+                v = vec_add(v, vec_scale(c, row))
+        vectors.append(v)
+    return canonicalize(vectors, u.ambient_dim)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(u, w) in a common Q^n: random, zero, equal, nested or disjoint."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vectors = st.lists(st.tuples(*[rationals] * n), max_size=4)
+    u = canonicalize(draw(vectors), n)
+    w = canonicalize(draw(vectors), n)
+    kind = draw(st.sampled_from(["random", "zero", "equal", "nested", "disjoint"]))
+    if kind == "zero":
+        w = zero_subspace(n)
+    elif kind == "equal":
+        w = u
+    elif kind == "nested":
+        w = subspace_sum(u, w)
+    elif kind == "disjoint":
+        k = draw(st.integers(min_value=0, max_value=n))
+        u = canonicalize([v[:k] + (0,) * (n - k) for v in u.basis_rows()], n)
+        w = canonicalize([(0,) * k + v[k:] for v in w.basis_rows()], n)
+    if draw(st.booleans()):
+        u, w = w, u
+    return u, w
+
+
+class TestIntersectAgainstKernelOracle:
+    @settings(max_examples=200)
+    @given(subspace_pairs())
+    def test_identical_rref(self, pair):
+        u, w = pair
+        rows_before = {p: dict(r) for p, r in w._rows.items()}
+        pivots_before = w.pivots
+        got = subspace_intersect(u, w)
+        want = kernel_intersect(u, w)
+        assert got.basis.entries == want.basis.entries
+        assert got.pivots == want.pivots
+        assert got == want and all_fractions(got.basis.entries)
+        assert w._rows == rows_before and w.pivots == pivots_before
+
+    def test_full_with_full(self):
+        assert subspace_intersect(full_subspace(3), full_subspace(3)) == full_subspace(3)
