@@ -179,8 +179,10 @@ def _item_truncated_idempotent() -> str:
 
 def _item_surjection_radical() -> str:
     a = alg.truncated_poly(3)
-    _, proj = alg.quotient_algebra(a, alg.radical(a).power(2))
-    alg.validate_hom(proj)  # asserts f(J(A)) = J(B) for surjections
+    b, proj = alg.quotient_algebra(a, alg.radical(a).power(2))
+    alg.validate_hom(proj)
+    image = canonicalize([proj.apply(r) for r in alg.radical(a).radical.basis_rows()], b.dim)
+    _require(image == alg.radical(b).radical, "projection does not map J(A) onto J(B)")
     return "projection maps J(A) onto J(B)"
 
 

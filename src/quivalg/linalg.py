@@ -11,12 +11,14 @@ reduces each incoming vector on insertion and drops it when it reduces to
 zero, stops taking vectors once the rank equals the ambient dimension, and
 back-substitutes once at the end to give the unique RREF.  ``Matrix.rref``,
 ``rank``, ``nullspace``, ``solve``, ``inverse``, ``canonicalize``,
-``subspace_sum``, ``subspace_intersect``, ``bilinear_image`` and
-``quotient_basis`` all run through it.  Its outputs are wrapped by the
-trusted ``Matrix._trusted`` constructor, which skips the entry coercion of
-the public ``Matrix(...)``.  A ``Subspace`` computes its pivots and sparse
-rows once, so membership tests (``contains_vector``, ``subspace_contains``,
-``products_within``) reduce against them without building new subspaces.
+``subspace_sum``, ``subspace_intersect``, ``bilinear_image``,
+``quotient_basis`` and the first-relation search ``_monic_relation`` (behind
+minimal polynomials of algebra elements) all run through it.  Its outputs
+are wrapped by the trusted ``Matrix._trusted`` constructor, which skips the
+entry coercion of the public ``Matrix(...)``.  A ``Subspace`` computes its
+pivots and sparse rows once, so membership tests (``contains_vector``,
+``subspace_contains``, ``products_within``) reduce against them without
+building new subspaces.
 
 Conventions fixed here and used by every other module:
 
@@ -518,6 +520,28 @@ def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
             meet.rows[p - n] = {j - n: x for j, x in acc.rows[p].items()}
             meet.order.append(p - n)
     return meet.subspace()
+
+
+def _monic_relation(vectors: Iterable[Sequence], n: int) -> tuple[list[Fraction], list[Sequence]]:
+    """The first linear relation among v_0, v_1, ... in Q^n, by one echelon pass.
+
+    Takes the rows (v_k | e_k) of Q^(2n+1).  The first row kept with its
+    pivot in the right half has a zero left half, so its right half holds
+    c with sum c_j v_j = 0.  Returns c scaled to c_k = 1 and the vectors
+    v_0 .. v_k read; at most n + 1 are read.  Every earlier row pivots in
+    the left half, so a right-half pivot is the last one in ``order``.
+    """
+    acc = _Echelon(2 * n + 1)
+    read = []
+    for k, v in zip(range(n + 1), vectors):
+        read.append(v)
+        acc.add(tuple(v) + unit_vec(n + 1, k))
+        p = acc.order[-1]
+        if p >= n:
+            row = acc.rows[p]
+            lead = row[n + k]
+            return [row.get(n + j, ZERO) / lead for j in range(k + 1)], read
+    raise QuivalgError("vectors ran out before a linear relation")
 
 
 def subspace_contains(u: Subspace, w: Subspace) -> bool:

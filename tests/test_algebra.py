@@ -1,15 +1,21 @@
 """Structure-constant algebras: radicals, predicates, quotients, idempotents."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quivalg
 from quivalg import algebra as alg
 from quivalg import adjunction, bound, corpus
-from quivalg.errors import NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError
+from quivalg.errors import (
+    CyclicInput, NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError,
+)
 from quivalg.linalg import Matrix, canonicalize, is_zero_vec, products_within, unit_vec
 from quivalg.quiver import path_algebra, validate_quiver
 
@@ -219,7 +225,7 @@ class TestHoms:
         a = alg.truncated_poly(4)
         ideal = alg.radical(a).power(2)
         _, proj = alg.quotient_algebra(a, ideal)
-        alg.validate_hom(proj)  # raises if f(J(A)) != J(B)
+        assert_maps_radical_onto_radical(alg.validate_hom(proj))
 
     def test_not_multiplicative_detected(self):
         a = alg.truncated_poly(2)
@@ -232,13 +238,26 @@ class TestHoms:
             alg.hom_from_images(a, a, [[0, 0], [0, 0]])
 
     def test_surjections_on_corpus_respect_radical(self):
-        # every surjective hom produced by the toolkit asserts f(J) = J internally
-        for _, a in corpus.corpus_basic()[:6]:
-            j = alg.radical(a).radical
-            if j.dim == 0:
+        # validate_hom does not check f(J(A)) = J(B), which every surjection
+        # satisfies; the identity stays here as an oracle on the radicals
+        for _, a in corpus.corpus_basic():
+            for s in alg.radical(a).powers[1:]:
+                if s.dim:
+                    _, proj = alg.quotient_algebra(a, s)
+                    assert_maps_radical_onto_radical(alg.validate_hom(proj))
+            try:
+                eps = adjunction.counit(a).representative
+            except CyclicInput:
                 continue
-            _, proj = alg.quotient_algebra(a, j)
-            alg.validate_hom(proj)
+            assert_maps_radical_onto_radical(eps)
+            assert_maps_radical_onto_radical(adjunction.present_as_bound_quiver(a).isomorphism)
+
+
+def assert_maps_radical_onto_radical(f):
+    """f is surjective and f(J(A)) = J(B), both radicals from the trace form."""
+    assert f.surjective
+    ja, jb = alg.radical(f.source).radical, alg.radical(f.target).radical
+    assert canonicalize([f.apply(r) for r in ja.basis_rows()], f.target.dim) == jb
 
 
 def assert_quotient_passes_full_checks(a, ideal):
@@ -246,8 +265,9 @@ def assert_quotient_passes_full_checks(a, ideal):
     quotient, proj = alg.quotient_algebra(a, ideal)
     assert proj.surjective
     alg.validate_algebra(quotient)
-    alg.validate_hom(proj)  # multiplicative, unital, f(J(A)) = J(B)
+    alg.validate_hom(proj)  # multiplicative and unital
     assert proj.surjective  # now recomputed from the rank
+    assert_maps_radical_onto_radical(proj)
     return quotient
 
 
@@ -383,10 +403,6 @@ def fraction_validate_hom(f):
                     witness=(i, j),
                 )
     f.surjective = f.matrix.rank() == b.dim
-    if f.surjective:
-        image = canonicalize([f.apply(r) for r in alg.radical(a).radical.basis_rows()], b.dim)
-        if image != alg.radical(b).radical:
-            raise ValidationError("surjective hom does not map J(A) onto J(B)")
     return f
 
 
@@ -600,3 +616,195 @@ class TestIdempotents:
     def test_not_basic_rejected(self):
         with pytest.raises((NotBasicError, NotSplitOverQQ)):
             alg.lift_idempotents(alg.matrix_algebra(2))
+
+
+# ---------------------------------------------------------------------------
+# the split test: algebra elements against the operator-matrix construction
+# ---------------------------------------------------------------------------
+
+
+def restricted_left_mult(a, g, s):
+    """The matrix of x -> e_g x on the invariant subspace s, in s's RREF basis."""
+    cols = []
+    for row in s.basis_rows():
+        coords = s.coordinates_of(a.mul_vec(a.basis_vec(g), row))
+        if coords is None:
+            raise QuivalgError("subspace is not invariant under multiplication")
+        cols.append(coords)
+    return Matrix(s.dim, s.dim, list(zip(*cols)) if cols else [])
+
+
+def matrix_minimal_polynomial(m):
+    """Monic minimal polynomial of a square matrix, lowest degree first."""
+    power = Matrix.identity(m.rows)
+    flat_powers = []
+    while True:
+        flat = tuple(x for row in power.entries for x in row)
+        if flat_powers:
+            sol = Matrix(len(flat_powers), len(flat), flat_powers).transpose().solve(flat)
+            if sol is not None:
+                return [-c for c in sol] + [Fraction(1)]
+        flat_powers.append(flat)
+        power = power * m
+
+
+def eval_poly_at_matrix(coeffs, m):
+    out = Matrix.zero(m.rows, m.rows)
+    for c in reversed(coeffs):
+        out = out * m + Matrix.identity(m.rows).scale(c)
+    return out
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def matrix_split_blocks(a, allow_nonsplit):
+    """split_blocks as it was built from restricted operator matrices.
+
+    Each block s is refined by the kernels of the primary factors of the
+    minimal polynomial of L_g restricted to s, mapped back to A.
+    """
+    blocks = [a.full_space()]
+    for g in range(a.dim):
+        refined = []
+        for s in blocks:
+            if s.dim <= 1:
+                refined.append(s)
+                continue
+            m = restricted_left_mult(a, g, s)
+            factors = alg._factor_over_q(matrix_minimal_polynomial(m))
+            bad = [f for f, _ in factors if len(f) > 2]
+            if bad and not allow_nonsplit:
+                raise NotSplitOverQQ(
+                    "algebra does not split over Q", witness=(a.basis_labels[g], bad[0])
+                )
+            if len(factors) == 1 and factors[0][1] == 1:
+                refined.append(s)
+                continue
+            for fac, exp in factors:
+                power = fac
+                for _ in range(exp - 1):
+                    power = poly_mul(power, fac)
+                kernel = eval_poly_at_matrix(power, m).nullspace()
+                ambient = [(Matrix(1, s.dim, [k]) * s.basis).row(0) for k in kernel]
+                piece = canonicalize(ambient, a.dim)
+                if piece.dim:
+                    refined.append(piece)
+        blocks = refined
+    blocks.sort(key=lambda s: (s.pivots[0], s.basis.entries[0]))
+    return blocks
+
+
+def split_outcome(split, a, allow_nonsplit):
+    """The blocks a split returns, or the (type, message, witness) it raises."""
+    try:
+        return split(a, allow_nonsplit)
+    except NotSplitOverQQ as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def matrix_is_connected(a):
+    center, _ = alg.center_subalgebra(a)
+    zs, _ = alg.semisimple_quotient(center)
+    return len(matrix_split_blocks(zs, allow_nonsplit=True)) == 1
+
+
+CYCLIC_ALGEBRAS = {m: alg.group_algebra(alg.cyclic_group_table(m)) for m in range(1, 6)}
+# mostly zero entries keep some basis elements split, so a non-split factor
+# can first show up after the blocks are refined
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def transported_direct_sums(draw):
+    """A direct sum of Q[Z_m], m <= 5 (Q = Q[Z_1]), moved by an LU basis change."""
+    orders = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
+                  .filter(lambda ms: sum(ms) <= 7))
+    a = alg.direct_sum(*(CYCLIC_ALGEBRAS[m] for m in orders))
+    n = a.dim
+    size = n * (n - 1) // 2
+    entries = draw(st.sampled_from([fractions_, sparse_entries]))
+    p = lu_matrix(
+        n,
+        draw(st.lists(entries, min_size=size, max_size=size)),
+        draw(st.lists(entries, min_size=size, max_size=size)),
+        draw(st.lists(nonzero_fractions, min_size=n, max_size=n)),
+    )
+    return a, p, transport(a, p)
+
+
+class TestSplitAgainstOperatorMatrices:
+    @given(transported_direct_sums())
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_witnesses_and_connectedness(self, case):
+        _, _, b = case
+        for allow_nonsplit in (False, True):
+            assert (split_outcome(alg.split_blocks, b, allow_nonsplit)
+                    == split_outcome(matrix_split_blocks, b, allow_nonsplit))
+        assert alg.is_connected(b) == matrix_is_connected(b)
+
+    @pytest.mark.parametrize("orders", [(3, 5), (4, 3), (2, 5, 3), (1, 2, 4)])
+    def test_direct_sums_in_their_own_basis(self, orders):
+        a = alg.direct_sum(*(CYCLIC_ALGEBRAS[m] for m in orders))
+        for allow_nonsplit in (False, True):
+            assert (split_outcome(alg.split_blocks, a, allow_nonsplit)
+                    == split_outcome(matrix_split_blocks, a, allow_nonsplit))
+
+    def test_witness_comes_from_the_first_block(self):
+        # f0 splits Q[Z4] + Q[Z3] into two blocks and f1 acts on both with
+        # non-split factors; the witness is x^2 + 1 from the first block,
+        # although x^2 - x + 1 comes first in the factor list of f1
+        a = alg.direct_sum(CYCLIC_ALGEBRAS[4], CYCLIC_ALGEBRAS[3])
+        p = Matrix(7, 7, [
+            [-1, 1, 2, 0, -1, 1, -1], [-1, 0, 2, 1, -1, 1, 0], [-2, 1, 3, 1, -1, 1, -1],
+            [-1, 1, 2, 1, -2, 3, 1], [0, 0, 0, -1, 2, -2, -2], [0, 0, 0, 0, 0, 1, 1],
+            [0, -1, 0, 1, 0, 0, 3],
+        ])
+        b = transport(a, p)
+        expected = (NotSplitOverQQ, "algebra does not split over Q", ("f1", [1, 0, 1]))
+        assert split_outcome(alg.split_blocks, b, False) == expected
+        assert split_outcome(matrix_split_blocks, b, False) == expected
+
+    @pytest.mark.parametrize("m, witness", [
+        (3, ("g1", [1, 1, 1])),
+        (4, ("g1", [1, 0, 1])),
+        (5, ("g1", [1, 1, 1, 1, 1])),
+        (6, ("g1", [1, -1, 1])),
+        (8, ("g1", [1, 0, 1])),
+        (12, ("g1", [1, -1, 1])),
+    ])
+    def test_cyclic_group_witnesses(self, m, witness):
+        with pytest.raises(NotSplitOverQQ) as err:
+            alg.split_blocks(alg.group_algebra(alg.cyclic_group_table(m)), False)
+        assert str(err.value) == "algebra does not split over Q"
+        assert err.value.witness == witness
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_idempotents_of_transported_qn(self, n, data):
+        size = n * (n - 1) // 2
+        p = lu_matrix(
+            n,
+            data.draw(st.lists(fractions_, min_size=size, max_size=size)),
+            data.draw(st.lists(fractions_, min_size=size, max_size=size)),
+            data.draw(st.lists(nonzero_fractions, min_size=n, max_size=n)),
+        )
+        b = alg.validate_algebra(transport(corpus.rational_n(n), p))
+        idems = alg.lift_idempotents(b).idempotents
+        assert sorted(p.apply(e) for e in idems) == sorted(unit_vec(n, i) for i in range(n))
+
+
+def test_import_leaves_sympy_unloaded():
+    src = os.path.dirname(os.path.dirname(quivalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quivalg; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
