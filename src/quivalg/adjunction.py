@@ -41,10 +41,10 @@ from .linalg import (
     Matrix,
     Subspace,
     Vec,
+    _Echelon,
     canonicalize,
     frac,
     is_zero_vec,
-    quotient_basis,
     subspace_contains,
     subspace_intersect,
     vec_add,
@@ -146,7 +146,9 @@ def _edge_basis(
 ) -> tuple[Subspace, list[Vec]]:
     """The corner e J f and RREF-completion representatives of e(J/J^2)f."""
     corner = corner_subspace(a, e, f, filt.radical)
-    return corner, quotient_basis(corner, subspace_intersect(corner, filt.power(2)))
+    # r outside J^2 + span(kept) iff outside (corner ∩ J^2) + span(kept)
+    span = _Echelon(a.dim, filt.power(2))
+    return corner, [r for r in corner.basis_rows() if span.add(r)]
 
 
 def edge_dimension_matrix(a: SCAlgebra, idems: Sequence[Vec]) -> dict[tuple[Vec, Vec], int]:

@@ -20,8 +20,8 @@ inputs that fail to split instead of assuming an algebraically closed field.
 ``sympy`` factors those polynomials and is imported only when one is
 factored.
 
-Algebras are frozen; the radical, the semisimple quotient and the path index
-are memoized on the object, so each lives exactly as long as its algebra.
+Algebras are frozen; the radical, the semisimple quotient, the path index and
+the generating set are memoized on the object, so each lives as long as it.
 """
 
 from __future__ import annotations
@@ -147,9 +147,6 @@ class SCAlgebra:
     def basis_vec(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.mult.get((i, j), {}).get(k, ZERO)
-
     def mul_basis(self, i: int, j: int) -> dict[int, Fraction]:
         return self.mult.get((i, j), {})
 
@@ -188,12 +185,6 @@ class SCAlgebra:
     def full_space(self) -> Subspace:
         return full_subspace(self.dim)
 
-    def describe(self, x: Sequence) -> str:
-        terms = [
-            f"{c}*{self.basis_labels[i]}" for i, c in enumerate(x) if c != 0
-        ]
-        return " + ".join(terms) if terms else "0"
-
 
 def _normalize_table(dim: int, table) -> SparseTable:
     """Accept a sparse dict or a dense 3d nested sequence."""
@@ -222,10 +213,11 @@ def make_algebra(labels: Sequence[str], table, unit: Sequence, **bookkeeping) ->
 
 
 def validate_algebra(a: SCAlgebra) -> SCAlgebra:
-    """Exhaustively verify associativity and the unit laws.
+    """Verify the unit laws, then associativity on the generating set.
 
-    Associativity is homogeneous of degree two in the structure constants,
-    so it is checked exactly on the integer table.
+    Light's test: given the unit laws, the g with (x g) y = x (g y) for all x,
+    y form a subalgebra, so middle factors g in ``generating_set`` suffice.
+    On a failure the full scan reruns, so the first witness is the same.
     """
     n = a.dim
     if len(a.unit) != n:
@@ -236,27 +228,37 @@ def validate_algebra(a: SCAlgebra) -> SCAlgebra:
             raise ValidationError(
                 f"unit law fails on basis element {a.basis_labels[i]}", witness=i
             )
-    table = a._int_mult
-    empty: dict[int, int] = {}
-    for i in range(n):
-        for j in range(n):
+    if _first_nonassociative(a, generating_set(a)):
+        i, j, k = _first_nonassociative(a, range(n))
+        raise ValidationError(
+            "associativity fails on "
+            f"({a.basis_labels[i]}, {a.basis_labels[j]}, {a.basis_labels[k]})",
+            witness=(i, j, k),
+        )
+    return a
+
+
+def _first_nonassociative(a: SCAlgebra, middles: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first (i, j, k), j in middles, with (e_i e_j) e_k != e_i (e_j e_k), exact
+    on the integer table as associativity is homogeneous of degree two in it."""
+    table, empty = a._int_mult, {}
+    for i in range(a.dim):
+        for j in middles:
             d_ij = table.get((i, j), empty)
-            for k in range(n):
-                lhs = [0] * n
+            for k in range(a.dim):
+                d_jk = table.get((j, k), empty)
+                if not (d_ij or d_jk):
+                    continue
+                diff: dict[int, int] = {}
                 for l, c in d_ij.items():
                     for m, t in table.get((l, k), empty).items():
-                        lhs[m] += c * t
-                rhs = [0] * n
-                for l, c in table.get((j, k), empty).items():
+                        diff[m] = diff.get(m, 0) + c * t
+                for l, c in d_jk.items():
                     for m, t in table.get((i, l), empty).items():
-                        rhs[m] += c * t
-                if lhs != rhs:
-                    raise ValidationError(
-                        "associativity fails on "
-                        f"({a.basis_labels[i]}, {a.basis_labels[j]}, {a.basis_labels[k]})",
-                        witness=(i, j, k),
-                    )
-    return a
+                        diff[m] = diff.get(m, 0) - c * t
+                if any(diff.values()):
+                    return i, j, k
+    return None
 
 
 def same_table(a: SCAlgebra, b: SCAlgebra) -> bool:
@@ -432,6 +434,29 @@ def path_index(a: SCAlgebra) -> dict[tuple, int]:
     return _index_paths(a.paths)
 
 
+@memoized
+def generating_set(a: SCAlgebra) -> tuple[int, ...]:
+    """Basis indices S such that S and 1 generate A: the trivial paths and
+    arrows when one lookup per longer basis path p proves e_p = e_(first
+    arrow) e_(rest), else (or without path bookkeeping) the whole basis."""
+    whole = tuple(range(a.dim))
+    if a.paths is None or len(a.paths) != a.dim:
+        return whole
+    index = path_index(a)
+    for k, p in enumerate(a.paths):
+        if p.length >= 2:
+            first = index.get((p.start, p.arrows[:1]))
+            rest = None if first is None else index.get((a.paths[first].end, p.arrows[1:]))
+            if rest is None or a.mult.get((first, rest)) != {k: ONE}:
+                return whole
+    return tuple(k for k, p in enumerate(a.paths) if p.length < 2)
+
+
+def _generator_span(a: SCAlgebra) -> Subspace:
+    """span(S): I is an ideal iff S I + I S <= I, as {x : x I <= I} is a subalgebra."""
+    return canonicalize([a.basis_vec(g) for g in generating_set(a)], a.dim)
+
+
 BUILDER_KINDS = (
     "matrix", "upper_triangular", "truncated_poly", "group_algebra",
     "direct_sum", "from_path_algebra",
@@ -512,7 +537,8 @@ def radical(a: SCAlgebra) -> RadicalFiltration:
             raise QuivalgError("radical is not nilpotent; input algebra is broken")
         powers.append(nxt)
     # J * J^i is an ideal whenever J and J^i are, so checking J suffices
-    for left, right in ((powers[0], j1), (j1, powers[0])):
+    gens = _generator_span(a)
+    for left, right in ((gens, j1), (j1, gens)):
         if not products_within(a.mul_vec, left, right, j1):
             raise QuivalgError("radical is not a two-sided ideal")
     return RadicalFiltration(a, tuple(powers))
@@ -764,15 +790,14 @@ def hom_from_images(source: SCAlgebra, target: SCAlgebra, images: Sequence[Seque
 
 
 def validate_hom(f: AlgebraHom) -> AlgebraHom:
-    """Verify unitality and multiplicativity on all basis pairs.
+    """Verify unitality, then f(g x) = f(g) f(x) for g in ``generating_set``.
 
-    Multiplicativity is checked on integers: with G = dF * F integral,
-    f(e_i e_j) = f(e_i) f(e_j) iff (sum_k TA_ijk G_k) * den_B * dF equals
-    G_i G_j (over TB) * den_A.  Sets the surjectivity flag from the rank.
-
-    A surjection also maps J(A) onto J(B): f(J(A)) is a nilpotent ideal, so it
-    lies in J(B), and B/f(J(A)) is a quotient of the semisimple A/J(A), so
-    J(B) lies in f(J(A)).  That identity is a consequence, not a check.
+    For associative A and B those g form a subalgebra containing 1, so S
+    suffices; a failure reruns the scan over all basis pairs for its witness.
+    With G = dF * F integral, f(e_i e_j) = f(e_i) f(e_j) iff (sum_k TA_ijk G_k)
+    * den_B * dF equals G_i G_j (over TB) * den_A.  Sets the surjectivity flag.
+    f(J(A)) = J(B) for a surjection follows (f(J(A)) is a nilpotent ideal, and
+    B/f(J(A)) is a quotient of the semisimple A/J(A)), so it is not checked.
     """
     a, b = f.source, f.target
     if f.matrix.rows != b.dim or f.matrix.cols != a.dim:
@@ -787,19 +812,26 @@ def validate_hom(f: AlgebraHom) -> AlgebraHom:
         cols[k].append((m, g))
     lhs_scale, rhs_scale = b._den * d_f, a._den
     empty: dict[int, int] = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs: dict[int, int] = {}
-            for k, c in a._int_mult.get((i, j), empty).items():
-                for m, g in cols[k]:
-                    lhs[m] = lhs.get(m, 0) + c * g
-            rhs = b._mul_int(cols[i], cols[j])
-            if ({m: v * lhs_scale for m, v in lhs.items() if v}
-                    != {m: v * rhs_scale for m, v in rhs.items() if v}):
-                raise ValidationError(
-                    f"not multiplicative on ({a.basis_labels[i]}, {a.basis_labels[j]})",
-                    witness=(i, j),
-                )
+
+    def first_failure(lefts):
+        for i in lefts:
+            for j in range(a.dim):
+                lhs: dict[int, int] = {}
+                for k, c in a._int_mult.get((i, j), empty).items():
+                    for m, g in cols[k]:
+                        lhs[m] = lhs.get(m, 0) + c * g
+                rhs = b._mul_int(cols[i], cols[j])
+                if ({m: v * lhs_scale for m, v in lhs.items() if v}
+                        != {m: v * rhs_scale for m, v in rhs.items() if v}):
+                    return i, j
+        return None
+
+    if first_failure(generating_set(a)):
+        i, j = first_failure(range(a.dim))
+        raise ValidationError(
+            f"not multiplicative on ({a.basis_labels[i]}, {a.basis_labels[j]})",
+            witness=(i, j),
+        )
     f.surjective = f.matrix.rank() == b.dim
     return f
 
@@ -820,10 +852,10 @@ def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraH
     """
     if ideal.ambient_dim != a.dim:
         raise DimensionMismatch("ideal lives in the wrong space")
-    full = a.full_space()
     if ideal.dim >= a.dim and a.dim > 0:
         raise ValidationError("cannot quotient by the whole algebra")
-    for left, right in ((full, ideal), (ideal, full)):
+    gens = _generator_span(a)
+    for left, right in ((gens, ideal), (ideal, gens)):
         if not products_within(a.mul_vec, left, right, ideal):
             raise ValidationError("subspace is not a two-sided ideal")
     return _quotient_by_ideal(a, ideal)

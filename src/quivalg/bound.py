@@ -12,12 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import SCAlgebra, AlgebraHom, _quotient_by_ideal, algebra_from_paths, path_index
-from .errors import InadmissibleIdeal, QuivalgError, ValidationError
+from .algebra import (
+    SCAlgebra, AlgebraHom, _quotient_by_ideal, algebra_from_paths, generating_set, memoized,
+    path_index,
+)
+from .errors import FormatError, InadmissibleIdeal, QuivalgError, ValidationError
 from .linalg import (
     Subspace,
     Vec,
-    bilinear_image,
+    _Echelon,
     canonicalize,
     frac,
     subspace_contains,
@@ -30,8 +33,12 @@ from .quiver import Quiver, enumerate_paths, is_acyclic, longest_path_length, pa
 
 RelationTerm = tuple[Fraction, tuple[str, ...]]  # coefficient, arrow labels
 
+# most paths a truncation may have; at this size (one loop at maxlen 511, or
+# two loops at maxlen 8) check_admissible takes a few seconds
+MAX_TRUNCATION_PATHS = 512
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class RelationSet:
     """Formal Q-combinations of paths of length >= 2, plus a truncation bound."""
 
@@ -70,9 +77,20 @@ def relation_set(
 
 
 def truncated_path_algebra(q: Quiver, max_len: int) -> SCAlgebra:
-    """kQ modulo all paths of length > max_len; finite even for cyclic Q."""
+    """kQ modulo all paths of length > max_len; finite even for cyclic Q.
+
+    Paths are counted by end vertex first: over MAX_TRUNCATION_PATHS, none is built."""
     if max_len < 1:
         raise ValidationError("truncation bound must be at least 1")
+    ends, total = dict.fromkeys(q.vertices, 1), len(q.vertices)
+    for _ in range(min(max_len, MAX_TRUNCATION_PATHS)):  # each length adds a path, or none after
+        step = dict.fromkeys(q.vertices, 0)
+        for _, s, t in q.arrows:
+            step[t] += ends[s]
+        ends, total = step, total + sum(step.values())
+        if total > MAX_TRUNCATION_PATHS:
+            raise FormatError(f"truncation at maxlen {max_len} has over {MAX_TRUNCATION_PATHS} "
+                              "paths (MAX_TRUNCATION_PATHS); lower maxlen")
     paths = enumerate_paths(q, max_len)
     return algebra_from_paths(q, paths, max_len=max_len)
 
@@ -94,24 +112,19 @@ def relation_vector(t: SCAlgebra, rel: Sequence[RelationTerm]) -> Vec:
 
 
 def ideal_closure(t: SCAlgebra, generators: Sequence[Vec]) -> Subspace:
-    """Smallest subspace containing the generators and absorbing products.
+    """The two-sided ideal generated by the given vectors, in RREF.
 
-    Iterates two-sided products with the full algebra until the dimension
-    stabilizes.
-    """
-    span = canonicalize(list(generators), t.dim)
-    full = t.full_space()
-    while True:
-        grown = subspace_sum(
-            span,
-            subspace_sum(
-                bilinear_image(t.mul_vec, full, span),
-                bilinear_image(t.mul_vec, span, full),
-            ),
-        )
-        if grown.dim == span.dim:
-            return span
-        span = grown
+    {x : x I <= I} is a subalgebra, so I is an ideal once S I + I S <= I for
+    S = ``generating_set(t)``: each newly kept vector is multiplied by S once."""
+    acc = _Echelon(t.dim)
+    todo = [v for v in generators if acc.add(v)]
+    gens = [t.basis_vec(g) for g in generating_set(t)]
+    for v in todo:  # grows while it is walked
+        if acc.full:
+            break
+        for g in gens:
+            todo.extend(w for w in (t.mul_vec(g, v), t.mul_vec(v, g)) if acc.add(w))
+    return acc.subspace()
 
 
 def arrow_ideal(t: SCAlgebra) -> Subspace:
@@ -139,6 +152,7 @@ class AdmissibilityReport:
         return self.admissible
 
 
+@memoized
 def _admissibility(r: RelationSet) -> tuple[AdmissibilityReport, SCAlgebra, Subspace]:
     """The admissibility report with the truncation and ideal closure behind it."""
     t = truncated_path_algebra(r.quiver, r.max_len)
@@ -179,7 +193,7 @@ def bound_algebra(r: RelationSet) -> tuple[SCAlgebra, AlgebraHom]:
             else "no power of the arrow ideal falls inside"
         )
         raise InadmissibleIdeal(f"relation set is not admissible: {detail}")
-    # ideal_closure only returns once A*I + I*A adds nothing, and I <= R_Q^2
+    # ideal_closure only returns once S*I + I*S adds nothing, and I <= R_Q^2
     # is proper: the ideal is proved, so skip quotient_algebra's re-proof
     quotient, proj = _quotient_by_ideal(t, ideal)
     if quotient.paths is None:

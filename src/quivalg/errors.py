@@ -6,7 +6,7 @@ class QuivalgError(Exception):
 
 
 class FormatError(QuivalgError):
-    """Malformed input text (CLI exit code 2)."""
+    """Malformed input text, or input over a size budget (CLI exit code 2)."""
 
 
 class DimensionMismatch(QuivalgError):

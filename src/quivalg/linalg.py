@@ -244,15 +244,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        rows = [tuple(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise QuivalgError("cannot infer column count of an empty matrix")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._trusted(rows, cols, (zero_vec(cols),) * rows)
 

@@ -17,7 +17,7 @@ from quivalg.errors import (
     CyclicInput, NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError,
 )
 from quivalg.linalg import Matrix, canonicalize, is_zero_vec, products_within, unit_vec
-from quivalg.quiver import path_algebra, validate_quiver
+from quivalg.quiver import is_acyclic, path_algebra, validate_quiver
 
 
 class TestValidation:
@@ -479,7 +479,10 @@ def transported_algebras(draw):
 
 
 def broken_in_one_entry(a, i, j, k, delta):
-    """a with delta added to the coefficient of e_k in e_i * e_j, unvalidated."""
+    """a with delta added to the coefficient of e_k in e_i * e_j, unvalidated.
+
+    Path bookkeeping is kept, so generating_set still reads its lookups.
+    """
     table = {key: dict(d) for key, d in a.mult.items()}
     entry = table.setdefault((i, j), {})
     entry[k] = entry.get(k, Fraction(0)) + delta
@@ -487,7 +490,7 @@ def broken_in_one_entry(a, i, j, k, delta):
         del entry[k]
     if not entry:
         del table[(i, j)]
-    return alg.SCAlgebra(a.dim, a.basis_labels, table, a.unit)
+    return dataclasses.replace(a, mult=table)
 
 
 class TestIntegerTableAgainstFractionLoops:
@@ -616,6 +619,153 @@ class TestIdempotents:
     def test_not_basic_rejected(self):
         with pytest.raises((NotBasicError, NotSplitOverQQ)):
             alg.lift_idempotents(alg.matrix_algebra(2))
+
+
+# ---------------------------------------------------------------------------
+# generator proofs: checks on S = vertices and arrows against full scans
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cyclic_truncations(draw, max_lens=st.integers(2, 4), max_dim=24):
+    """kQ truncated at a random maxlen, for a small quiver with a cycle."""
+    n = draw(st.integers(1, 2))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         min_size=1, max_size=3))
+    q = validate_quiver([str(v) for v in range(n)],
+                        [(f"a{k}", str(s), str(t)) for k, (s, t) in enumerate(ends)])
+    assume(not is_acyclic(q))
+    t = bound.truncated_path_algebra(q, draw(max_lens))
+    assume(t.dim <= max_dim)
+    return t
+
+
+def lookup_entries(t):
+    """Each longer path's entry (first arrow, rest), which generating_set reads."""
+    index = alg.path_index(t)
+    entries = {}
+    for k, p in enumerate(t.paths):
+        if p.length >= 2:
+            first = index[(p.start, p.arrows[:1])]
+            entries[k] = (first, index[(t.paths[first].end, p.arrows[1:])])
+    return entries
+
+
+def generator_labels(a):
+    return [a.basis_labels[g] for g in alg.generating_set(a)]
+
+
+def two_loop_truncation(max_len):
+    return bound.truncated_path_algebra(
+        validate_quiver(["1"], [("a", "1", "1"), ("b", "1", "1")]), max_len)
+
+
+class TestGeneratorProofs:
+    def test_vertices_and_arrows_generate_path_algebras(self):
+        a3 = validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        assert generator_labels(path_algebra(a3)) == ["p_1", "p_2", "p_3", "a", "b"]
+        assert generator_labels(two_loop_truncation(3)) == ["p_1", "a", "b"]
+        monomial = bound.relation_set(
+            two_loop_truncation(3).quiver,
+            [[(1, ("a", "a"))], [(1, ("b", "b"))], [(1, ("a", "b"))]], max_len=3)
+        assert generator_labels(bound.bound_algebra(monomial)[0]) == ["p_1", "a", "b"]
+
+    def test_non_monomial_bound_quotient(self):
+        # the RREF pivots of an ideal are closed under multiplying by paths, so
+        # a kept path's tail is kept and every lookup of kQ/I holds
+        square, _ = corpus.commutative_square_algebra()
+        assert "a*b" in square.basis_labels and "c*d" not in square.basis_labels
+        assert generator_labels(square) == [
+            "p_1", "p_2", "p_3", "p_4", "a", "b", "c", "d"]
+
+    def test_whole_basis_without_paths_or_with_a_failed_lookup(self):
+        for n in (2, 4):
+            u = alg.upper_triangular(n)
+            assert alg.generating_set(u) == tuple(range(u.dim))
+        t = two_loop_truncation(3)
+        a, ab = t.index_of("a"), t.index_of("a*b")
+        first, rest = lookup_entries(t)[ab]
+        assert (first, rest) == (a, t.index_of("b"))
+        broken = broken_in_one_entry(t, first, rest, ab, Fraction(1))
+        assert alg.generating_set(broken) == tuple(range(t.dim))
+
+    def test_witness_with_a_middle_factor_off_the_generators(self):
+        # the first failing triple in scan order has middle b*a, which is not
+        # in S: the S scan finds a failure and the full rerun names this one
+        t = two_loop_truncation(3)
+        ba, a, p1 = (t.index_of(l) for l in ("b*a", "a", "p_1"))
+        broken = broken_in_one_entry(t, ba, a, p1, Fraction(1))
+        assert alg.generating_set(broken) == alg.generating_set(t)
+        expected = outcome(fraction_validate_algebra, broken)
+        assert expected[2] == (a, ba, a)
+        assert outcome(alg.validate_algebra, broken) == expected
+
+    @given(cyclic_truncations(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_validate_algebra_on_perturbed_truncations(self, t, data):
+        n = t.dim
+        lookups = list(lookup_entries(t).values())
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.sampled_from(lookups))
+        else:
+            # off the unit's support the unit laws hold, so S decides alone
+            off_unit = [x for x in range(n) if not t.unit[x]]
+            i, j = (data.draw(st.sampled_from(off_unit)) for _ in range(2))
+        k = data.draw(st.integers(0, n - 1))
+        broken = broken_in_one_entry(t, i, j, k, data.draw(nonzero_fractions))
+        assert (alg.generating_set(broken) == tuple(range(n))) == ((i, j) in lookups)
+        expected = outcome(fraction_validate_algebra, broken)
+        assert outcome(alg.validate_algebra, broken) == expected
+
+    @given(cyclic_truncations(max_lens=st.integers(3, 4)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_validate_hom_on_maps_multiplicative_on_generators(self, t, data):
+        # f moves one path of length >= 3 and products of two generators are
+        # shorter, so f is multiplicative on S x S but not on all of A
+        n = t.dim
+        row = data.draw(st.integers(0, n - 1))
+        col = data.draw(st.sampled_from([k for k, p in enumerate(t.paths) if p.length >= 3]))
+        delta = data.draw(nonzero_fractions)
+        m = Matrix(n, n, [[int(r == c) + (delta if (r, c) == (row, col) else 0)
+                           for c in range(n)] for r in range(n)])
+        gens = [t.basis_vec(g) for g in alg.generating_set(t)]
+        assert all(m.apply(t.mul_vec(g, h)) == t.mul_vec(m.apply(g), m.apply(h))
+                   for g in gens for h in gens)
+        expected = outcome(fraction_validate_hom, alg.AlgebraHom(t, t, m))
+        assert expected is not None
+        assert outcome(alg.validate_hom, alg.AlgebraHom(t, t, m)) == expected
+
+    @given(cyclic_truncations(), st.sampled_from(["first", "last", "top", "any"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ideal_checks_against_full_products(self, t, kind, data):
+        # the paths that start (end) with one arrow span a right (left) ideal;
+        # with one vertex every subspace of the longest paths is an ideal
+        a = t.quiver.arrows[0][0]
+        longest = max(p.length for p in t.paths)
+        if kind in ("first", "last"):
+            at = 0 if kind == "first" else -1
+            s = canonicalize([t.basis_vec(k) for k, p in enumerate(t.paths)
+                              if p.length and p.arrows[at] == a], t.dim)
+        else:
+            support = [k for k, p in enumerate(t.paths) if p.length == longest or kind == "any"]
+            coeffs = st.lists(st.integers(-1, 1), min_size=len(support), max_size=len(support))
+            vectors = []
+            for row in data.draw(st.lists(coeffs, min_size=1, max_size=2)):
+                v = [0] * t.dim
+                for k, c in zip(support, row):
+                    v[k] = c
+                vectors.append(v)
+            s = canonicalize(vectors, t.dim)
+        full = t.full_space()
+        is_ideal = (products_within(t.mul_vec, full, s, s)
+                    and products_within(t.mul_vec, s, full, s))
+        try:
+            alg.quotient_algebra(t, s)
+        except ValidationError:
+            assert not is_ideal
+        else:
+            assert is_ideal
+        assert_radical_powers_are_ideals(t)
 
 
 # ---------------------------------------------------------------------------

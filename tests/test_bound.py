@@ -1,12 +1,17 @@
 """Admissible ideals and bound path algebras."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivalg import algebra as alg
 from quivalg import bound, corpus
-from quivalg.errors import InadmissibleIdeal, ValidationError
-from quivalg.linalg import canonicalize
+from quivalg.errors import FormatError, InadmissibleIdeal, ValidationError
+from quivalg.linalg import bilinear_image, canonicalize, subspace_sum
 from quivalg.quiver import path_algebra, validate_quiver
+
+from test_algebra import cyclic_truncations
 
 
 def two_loop_quiver():
@@ -30,6 +35,16 @@ class TestTruncation:
         q = validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
         t = bound.truncated_path_algebra(q, 5)
         assert alg.same_table(t, path_algebra(q))
+
+    def test_path_budget(self, monkeypatch):
+        # two loops have 7 paths up to length 2 and 15 up to length 3
+        monkeypatch.setattr(bound, "MAX_TRUNCATION_PATHS", 7)
+        assert bound.truncated_path_algebra(two_loop_quiver(), 2).dim == 7
+        with pytest.raises(FormatError, match="maxlen 3 has over 7 paths"):
+            bound.truncated_path_algebra(two_loop_quiver(), 3)
+        # an acyclic quiver runs out of paths long before any bound
+        chain = validate_quiver(["1", "2"], [("h", "1", "2")])
+        assert bound.truncated_path_algebra(chain, 10**9).dim == 3
 
     def test_single_loop_truncation_is_poly(self):
         q = validate_quiver(["1"], [("a", "1", "1")])
@@ -62,6 +77,29 @@ class TestIdealClosure:
         assert not closure.contains_vector(ba)
 
 
+    @given(cyclic_truncations(max_dim=40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_worklist_matches_fixed_point(self, t, data):
+        terms = st.tuples(st.integers(-2, 2).filter(bool),
+                          st.sampled_from([p.arrows for p in t.paths if p.length >= 2]))
+        relations = data.draw(st.lists(st.lists(terms, min_size=1, max_size=3), max_size=3))
+        gens = [bound.relation_vector(t, rel) for rel in relations]
+        assert bound.ideal_closure(t, gens) == fixed_point_closure(t, gens)
+
+
+def fixed_point_closure(t, generators):
+    """ideal_closure as a fixed point: products with the whole algebra on
+    both sides until the dimension stops growing."""
+    span = canonicalize(list(generators), t.dim)
+    full = t.full_space()
+    while True:
+        grown = subspace_sum(span, subspace_sum(
+            bilinear_image(t.mul_vec, full, span), bilinear_image(t.mul_vec, span, full)))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
 class TestAdmissibility:
     def test_acyclic_no_relations(self):
         q = validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
@@ -90,6 +128,18 @@ class TestAdmissibility:
         for m_len in (3, 4, 5):
             report = bound.check_admissible(two_loop_relations(max_len=m_len))
             assert report.admissible and report.m == 3
+
+    def test_construct_reuses_the_checked_truncation(self):
+        r = two_loop_relations()
+        bound.check_admissible(r)
+        t = bound._admissibility(r)[1]
+        _, proj = bound.bound_algebra(r)
+        assert proj.source is t
+
+    def test_relation_sets_are_frozen(self):
+        r = two_loop_relations()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.max_len = 5
 
     def test_cyclic_needs_explicit_bound(self):
         with pytest.raises(ValidationError):

@@ -244,6 +244,19 @@ class TestCLI:
         code, out = run_cli(["bound", "construct", str(qf), str(rf)])
         assert code == 0 and "algebra dim 4" in out
 
+    def test_truncation_over_budget_exits_2(self, tmp_path, capsys):
+        samples = pathlib.Path(__file__).resolve().parent.parent / "samples"
+        rf = tmp_path / "two_loops.rel"
+        rf.write_text((samples / "two_loops.rel").read_text().replace("maxlen: 3", "maxlen: 40"))
+        start = time.perf_counter()
+        code, out = run_cli(["bound", "check", str(samples / "two_loops.quiver"), str(rf)])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == (f"error (malformed input): truncation at maxlen 40 has over "
+                       f"{bound.MAX_TRUNCATION_PATHS} paths (MAX_TRUNCATION_PATHS); lower maxlen\n")
+
     def test_inadmissible_exits_1(self, tmp_path):
         qf = tmp_path / "q.quiver"
         rf = tmp_path / "r.rel"
