@@ -54,6 +54,7 @@ from .linalg import (
 from .vquiver import (
     Vquiver,
     VquiverMap,
+    _path_images,
     compose_vquiver_maps,
     identity_vquiver_map,
     induced_hom,
@@ -364,17 +365,8 @@ def _counit(a: SCAlgebra, section_rng: random.Random | None) -> NDepthClass:
             for row in perturb_rows:
                 image = vec_add(image, vec_scale(frac(section_rng.randint(-3, 3)), row))
             section[lab] = image
-    images = []
-    for p in t.paths:
-        if p.length == 0:
-            idx = ga.vquiver.vertices.index(p.start)
-            images.append(ga.idempotents.idempotents[idx])
-            continue
-        acc = None
-        for lab in p.arrows:
-            factor = section[lab]
-            acc = factor if acc is None else a.mul_vec(acc, factor)
-        images.append(acc)
+    vertex_images = dict(zip(ga.vquiver.vertices, ga.idempotents.idempotents))
+    images = _path_images(t.paths, a, vertex_images, section)
     eps = hom_from_images(t, a, images)
     if not eps.surjective:
         raise QuivalgError("the counit must be surjective")

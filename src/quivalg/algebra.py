@@ -20,6 +20,9 @@ inputs that fail to split instead of assuming an algebraically closed field.
 ``sympy`` factors those polynomials and is imported only when one is
 factored.
 
+A quotient A/I is one RREF of I read right to left: its non-pivots are the
+representatives, always basis vectors, and its rows give the projection.
+
 Algebras are frozen; the radical, the semisimple quotient, the path index and
 the generating set are memoized on the object, so each lives as long as it.
 """
@@ -53,7 +56,6 @@ from .linalg import (
     full_subspace,
     is_zero_vec,
     products_within,
-    quotient_basis,
     unit_vec,
     vec,
     vec_add,
@@ -700,11 +702,15 @@ def is_basic(a: SCAlgebra) -> bool:
 
 
 def center_subalgebra(a: SCAlgebra) -> tuple[SCAlgebra, Subspace]:
-    """The center as an algebra in its own coordinates, plus its subspace."""
+    """The center as an algebra in its own coordinates, plus its subspace.
+
+    z is central iff it commutes with every g in ``generating_set``: the
+    elements commuting with z form a subalgebra containing 1.
+    """
     n = a.dim
     stacked = vstack(
-        [a.left_mult_matrix(a.basis_vec(i)) - a.right_mult_matrix(a.basis_vec(i))
-         for i in range(n)]
+        [a.left_mult_matrix(a.basis_vec(g)) - a.right_mult_matrix(a.basis_vec(g))
+         for g in generating_set(a)]
     ) if n else Matrix(0, 0, [])
     space = canonicalize(stacked.nullspace(), n)
     labels = [f"z{k}" for k in range(space.dim)]
@@ -846,9 +852,8 @@ def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraH
     The one public check that a subspace is a proper two-sided ideal; the
     projection comes back surjective and needs no ``validate_hom``.
 
-    Coset representatives come from deterministic RREF-pivot completion; when
-    they are all standard basis vectors their labels (and any path
-    bookkeeping) carry over to the quotient.
+    Coset representatives are always basis vectors, so their labels and any
+    path bookkeeping carry over; the kernel is checked by projecting I's rows.
     """
     if ideal.ambient_dim != a.dim:
         raise DimensionMismatch("ideal lives in the wrong space")
@@ -863,42 +868,49 @@ def quotient_algebra(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraH
 
 def _quotient_by_ideal(a: SCAlgebra, ideal: Subspace) -> tuple[SCAlgebra, AlgebraHom]:
     """The quotient and projection of ``quotient_algebra``, for callers that
-    already hold a proof that ``ideal`` is a proper two-sided ideal."""
-    reps = quotient_basis(a.full_space(), ideal)
-    r = len(reps)
-    rep_indices = []
-    for v in reps:
-        nonzero = [k for k, c in enumerate(v) if c != 0]
-        rep_indices.append(nonzero[0] if len(nonzero) == 1 and v[nonzero[0]] == 1 else None)
-    if all(k is not None for k in rep_indices):
-        labels = [a.basis_labels[k] for k in rep_indices]
-        paths = tuple(a.paths[k] for k in rep_indices) if a.paths else None
-    else:
-        labels = [f"q{k}" for k in range(r)]
-        paths = None
-    basis_matrix = Matrix(a.dim, a.dim, list(reps) + list(ideal.basis_rows()))
-    inv = basis_matrix.inverse()
-    # row k of the projection reads off the rep_k coefficient of each e_i
-    proj_matrix = Matrix(
-        r, a.dim, [tuple(inv.entries[i][k] for i in range(a.dim)) for k in range(r)]
-    )
-    if canonicalize(proj_matrix.nullspace(), a.dim) != ideal:
+    already hold a proof that ``ideal`` is a proper two-sided ideal.
+
+    Read right to left, each RREF row of I is e_p + sum c_j e_j over
+    non-pivots j < p.  e_k lies outside I + span(e_<k) iff k is a non-pivot,
+    so those are the ``quotient_basis`` representatives; the projection fixes
+    them and sends e_p to -sum c_j e_j."""
+    n = a.dim
+    back = canonicalize([v[::-1] for v in ideal.basis_rows()], n)
+    ends = {n - 1 - q: row[::-1] for q, row in zip(back.pivots, back.basis_rows())}
+    kept = [k for k in range(n) if k not in ends]
+    pos = {k: m for m, k in enumerate(kept)}
+    images = [{pos[j]: -c for j, c in enumerate(ends[k][:k]) if c} if k in ends
+              else {pos[k]: ONE} for k in range(n)]
+
+    def project(pairs) -> dict[int, Fraction]:
+        acc: dict[int, Fraction] = {}
+        for k, c in pairs:
+            for m, d in images[k].items() if c else ():
+                acc[m] = acc.get(m, ZERO) + c * d
+        return {m: acc[m] for m in sorted(acc) if acc[m]}
+
+    # rank n - dim I and every row of I in the kernel: the kernel is I
+    if any(project(enumerate(v)) for v in ideal.basis_rows()):
         raise QuivalgError("projection kernel disagrees with the ideal")
     table: SparseTable = {}
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            coords = proj_matrix.apply(a.mul_vec(x, y))
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
+    for i, x in enumerate(kept):
+        for j, y in enumerate(kept):
+            if entry := project(a.mult.get((x, y), {}).items()):
                 table[(i, j)] = entry
-    # ker(proj) is a two-sided ideal, so the table proj(rep_i rep_j) makes
-    # proj multiplicative, and a surjective multiplicative image of an
+    # ker(proj) is a two-sided ideal, so the table proj(e_x e_y) makes proj
+    # multiplicative, and a surjective multiplicative image of an
     # associative unital algebra is associative and unital: no validate_algebra
+    r, unit = len(kept), project(enumerate(a.unit))
+    paths = tuple(a.paths[k] for k in kept) if a.paths else None
     quotient = SCAlgebra(
-        r, tuple(labels), table, proj_matrix.apply(a.unit),
+        r, tuple(a.basis_labels[k] for k in kept), table,
+        tuple(unit.get(m, ZERO) for m in range(r)),
         paths=paths, quiver=a.quiver if paths else None,
     )
-    section = Matrix(a.dim, r, list(zip(*reps)) if reps else [[]] * a.dim)
+    proj_matrix = Matrix._trusted(r, n, tuple(tuple(im.get(m, ZERO) for im in images)
+                                              for m in range(r)))
+    section = Matrix._trusted(n, r, tuple(unit_vec(r, pos[k]) if k in pos else zero_vec(r)
+                                          for k in range(n)))
     proj = AlgebraHom(a, quotient, proj_matrix, surjective=True, section=section)
     return quotient, proj
 

@@ -18,7 +18,9 @@ are wrapped by the trusted ``Matrix._trusted`` constructor, which skips the
 entry coercion of the public ``Matrix(...)``.  A ``Subspace`` computes its
 pivots and sparse rows once, so membership tests (``contains_vector``,
 ``subspace_contains``, ``products_within``) reduce against them without
-building new subspaces.
+building new subspaces.  ``quotient_basis`` stays public, but algebra
+quotients read their representatives off one right-to-left ``canonicalize``
+of the ideal instead.
 
 Conventions fixed here and used by every other module:
 

@@ -279,6 +279,21 @@ def is_vquiver_iso(m: VquiverMap) -> bool:
     return True
 
 
+def _path_images(paths: Sequence, target: SCAlgebra, vertex_images: Mapping[str, Vec],
+                 arrow_images: Mapping[str, Vec]) -> list[Vec]:
+    """Images of a path basis under the algebra map given on vertices and arrows:
+    a path goes to the product of its arrows' images, cut at the first zero."""
+    images = []
+    for p in paths:
+        acc = vertex_images[p.start] if p.length == 0 else None
+        for lab in p.arrows:
+            acc = arrow_images[lab] if acc is None else target.mul_vec(acc, arrow_images[lab])
+            if is_zero_vec(acc):
+                break
+        images.append(acc)
+    return images
+
+
 def induced_hom(rho: VquiverMap) -> AlgebraHom:
     """The algebra map k[rho] between path algebras of acyclic Vquivers.
 
@@ -308,27 +323,16 @@ def induced_hom(rho: VquiverMap) -> AlgebraHom:
                 out = vec_add(out, vec_scale(c, tgt.basis_vec(tgt_index[(pair[0], (lab,))])))
         return out
 
-    src_label_pair = {
-        lab: (pair, k)
-        for pair, labs in rho.source.edge_labels.items()
+    vertex_images = {
+        v: zero_vec(tgt.dim) if w is None else tgt.basis_vec(tgt_index[(w, ())])
+        for v, w in rho.vertex_map.items()
+    }
+    arrow_images = {
+        lab: label_image(e, f, k)
+        for (e, f), labs in rho.source.edge_labels.items()
         for k, lab in enumerate(labs)
     }
-    images = []
-    for p in src.paths:
-        if p.length == 0:
-            w = rho.vertex_map[p.start]
-            images.append(
-                zero_vec(tgt.dim) if w is None else tgt.basis_vec(tgt_index[(w, ())])
-            )
-            continue
-        acc = None
-        for lab in p.arrows:
-            (e, f), k = src_label_pair[lab]
-            factor = label_image(e, f, k)
-            acc = factor if acc is None else tgt.mul_vec(acc, factor)
-            if is_zero_vec(acc):
-                break
-        images.append(acc)
+    images = _path_images(src.paths, tgt, vertex_images, arrow_images)
     hom = hom_from_images(src, tgt, images)
     if not hom.surjective:
         raise QuivalgError("induced map of a surjective Vquiver map must be surjective")

@@ -16,7 +16,9 @@ from quivalg import adjunction, bound, corpus
 from quivalg.errors import (
     CyclicInput, NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError,
 )
-from quivalg.linalg import Matrix, canonicalize, is_zero_vec, products_within, unit_vec
+from quivalg.linalg import (
+    Matrix, canonicalize, is_zero_vec, products_within, quotient_basis, unit_vec, vstack,
+)
 from quivalg.quiver import is_acyclic, path_algebra, validate_quiver
 
 
@@ -448,6 +450,10 @@ SMALL_ALGEBRAS = [
 ]
 fractions_ = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 nonzero_fractions = fractions_.filter(bool)
+# mostly zero entries keep some basis elements split, so a non-split factor
+# can first show up after the blocks are refined; in a quotient they leave
+# products with a few terms, whose projections fill entries out of key order
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
 
 
 def fixing_the_unit(a, p):
@@ -462,14 +468,14 @@ def fixing_the_unit(a, p):
 
 
 @st.composite
-def transported_algebras(draw):
+def transported_algebras(draw, entries=fractions_):
     a = draw(st.sampled_from(SMALL_ALGEBRAS))
     n = a.dim
     size = n * (n - 1) // 2
     p = lu_matrix(
         n,
-        draw(st.lists(fractions_, min_size=size, max_size=size)),
-        draw(st.lists(fractions_, min_size=size, max_size=size)),
+        draw(st.lists(entries, min_size=size, max_size=size)),
+        draw(st.lists(entries, min_size=size, max_size=size)),
         draw(st.lists(nonzero_fractions, min_size=n, max_size=n)),
     )
     if draw(st.booleans()):
@@ -769,6 +775,148 @@ class TestGeneratorProofs:
 
 
 # ---------------------------------------------------------------------------
+# quotients: one right-to-left echelon against the inverse-matrix construction
+# ---------------------------------------------------------------------------
+
+
+def inverse_quotient(a, ideal):
+    """_quotient_by_ideal as it was built from a dense inverse.
+
+    Representatives from quotient_basis, the projection read off the inverse
+    of (reps | ideal rows), its kernel re-proved by a nullspace, and the
+    table as the projection of every product of two representatives.
+    """
+    reps = quotient_basis(a.full_space(), ideal)
+    r = len(reps)
+    rep_indices = []
+    for v in reps:
+        nonzero = [k for k, c in enumerate(v) if c != 0]
+        assert len(nonzero) == 1 and v[nonzero[0]] == 1  # reps are basis vectors
+        rep_indices.append(nonzero[0])
+    labels = [a.basis_labels[k] for k in rep_indices]
+    paths = tuple(a.paths[k] for k in rep_indices) if a.paths else None
+    inv = Matrix(a.dim, a.dim, list(reps) + list(ideal.basis_rows())).inverse()
+    proj_matrix = Matrix(
+        r, a.dim, [tuple(inv.entries[i][k] for i in range(a.dim)) for k in range(r)]
+    )
+    assert canonicalize(proj_matrix.nullspace(), a.dim) == ideal
+    table = {}
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            coords = proj_matrix.apply(a.mul_vec(x, y))
+            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            if entry:
+                table[(i, j)] = entry
+    quotient = alg.SCAlgebra(
+        r, tuple(labels), table, proj_matrix.apply(a.unit),
+        paths=paths, quiver=a.quiver if paths else None,
+    )
+    section = Matrix(a.dim, r, list(zip(*reps)) if reps else [[]] * a.dim)
+    return quotient, alg.AlgebraHom(a, quotient, proj_matrix, surjective=True, section=section)
+
+
+def assert_same_quotient(got, expected):
+    """Literal equality, down to the key order of the table and of each entry."""
+    (b, f), (c, g) = got, expected
+    assert (b.dim, b.basis_labels, b.unit, b.paths) == (c.dim, c.basis_labels, c.unit, c.paths)
+    assert b.quiver is c.quiver
+    assert [(key, list(d.items())) for key, d in b.mult.items()] == [
+        (key, list(d.items())) for key, d in c.mult.items()]
+    assert all(type(x) is Fraction for x in b.unit)
+    assert (f.source, f.target is b, f.surjective) == (g.source, True, g.surjective)
+    assert f.matrix == g.matrix and f.section == g.section
+
+
+def proper_radical_powers(a):
+    return [s for s in alg.radical(a).powers[1:] if s.dim < a.dim]
+
+
+def admissible_relations(t, data):
+    """Up to two random relations on the truncation t, plus every path of
+    length maxlen, so R_Q^maxlen <= I and the set is admissible."""
+    longest = max(p.length for p in t.paths)
+    long_paths = [p for p in t.paths if p.length >= 2]
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(long_paths), max_size=len(long_paths))
+    relations = [[(c, p.arrows) for c, p in zip(row, long_paths) if c]
+                 for row in data.draw(st.lists(coeffs, max_size=2))]
+    relations = [rel for rel in relations if rel] + [
+        [(1, p.arrows)] for p in t.paths if p.length == longest]
+    return bound.relation_set(t.quiver, relations, max_len=longest)
+
+
+BASIC = corpus.corpus_basic()
+
+
+class TestQuotientAgainstInverse:
+    def test_corpus_radical_powers(self):
+        for _, a in BASIC:
+            for s in proper_radical_powers(a):
+                assert_same_quotient(alg.quotient_algebra(a, s), inverse_quotient(a, s))
+
+    @given(st.sampled_from([fractions_, sparse_entries]).flatmap(transported_algebras))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_transports(self, case):
+        _, _, b = case
+        for s in proper_radical_powers(b):
+            assert_same_quotient(alg.quotient_algebra(b, s), inverse_quotient(b, s))
+
+    @given(st.sampled_from(BASIC), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ideals_generated_inside_j_squared(self, case, data):
+        _, a = case
+        j2 = alg.radical(a).power(2)
+        assume(j2.dim)
+        coeffs = st.lists(st.integers(-2, 2), min_size=j2.dim, max_size=j2.dim)
+        gens = [tuple(sum((c * row[k] for c, row in zip(cs, j2.basis_rows())), Fraction(0))
+                      for k in range(a.dim))
+                for cs in data.draw(st.lists(coeffs, min_size=1, max_size=2))]
+        ideal = bound.ideal_closure(a, gens)
+        assert_same_quotient(alg.quotient_algebra(a, ideal), inverse_quotient(a, ideal))
+
+    @given(cyclic_truncations(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bound_algebras_of_cyclic_truncations(self, t, data):
+        r = admissible_relations(t, data)
+        got = bound.bound_algebra(r)
+        source = got[1].source
+        ideal = bound.ideal_closure(
+            source, [bound.relation_vector(source, rel) for rel in r.relations])
+        assert_same_quotient(got, inverse_quotient(source, ideal))
+
+    def test_no_inverse_or_nullspace(self, monkeypatch):
+        u4 = alg.upper_triangular(4)
+        j = alg.radical(u4).radical  # memoized before the patch
+
+        def refuse(*_):
+            raise AssertionError("quotients need no inverse and no nullspace")
+
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        monkeypatch.setattr(Matrix, "nullspace", refuse)
+        b, proj = alg.quotient_algebra(u4, j)
+        assert b.dim == 4 and proj.surjective
+
+
+def full_basis_center(a):
+    """The center as the common kernel of L_i - R_i over the whole basis."""
+    n = a.dim
+    stacked = vstack([a.left_mult_matrix(a.basis_vec(i)) - a.right_mult_matrix(a.basis_vec(i))
+                      for i in range(n)])
+    return canonicalize(stacked.nullspace(), n)
+
+
+def test_center_from_generators_matches_the_full_basis_stack():
+    kq = path_algebra(validate_quiver(
+        ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                               ("d", "1", "3"), ("e", "2", "4")]))
+    algebras = [a for _, a in BASIC + corpus.corpus_sbalg_ac()] + [
+        kq, alg.upper_triangular(3), alg.matrix_algebra(2), transport(
+            alg.upper_triangular(2), lu_matrix(3, [1, -2, 3], [2, 0, -1], [1, 2, -1]))]
+    for a in algebras:
+        assert alg.center_subalgebra(a)[1] == full_basis_center(a)
+    assert len(alg.generating_set(kq)) < kq.dim
+
+
+# ---------------------------------------------------------------------------
 # the split test: algebra elements against the operator-matrix construction
 # ---------------------------------------------------------------------------
 
@@ -865,9 +1013,6 @@ def matrix_is_connected(a):
 
 
 CYCLIC_ALGEBRAS = {m: alg.group_algebra(alg.cyclic_group_table(m)) for m in range(1, 6)}
-# mostly zero entries keep some basis elements split, so a non-split factor
-# can first show up after the blocks are refined
-sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
 
 
 @st.composite

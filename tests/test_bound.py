@@ -11,7 +11,7 @@ from quivalg.errors import FormatError, InadmissibleIdeal, ValidationError
 from quivalg.linalg import bilinear_image, canonicalize, subspace_sum
 from quivalg.quiver import path_algebra, validate_quiver
 
-from test_algebra import cyclic_truncations
+from test_algebra import admissible_relations, cyclic_truncations
 
 
 def two_loop_quiver():
@@ -45,6 +45,19 @@ class TestTruncation:
         # an acyclic quiver runs out of paths long before any bound
         chain = validate_quiver(["1", "2"], [("h", "1", "2")])
         assert bound.truncated_path_algebra(chain, 10**9).dim == 3
+
+    def test_path_budget_of_an_inactive_truncation(self):
+        # the 32-vertex line has 528 paths, none longer than 31: the default
+        # bound 32 truncates nothing, so lowering it would not help
+        n = 32
+        line = validate_quiver([str(v) for v in range(n)],
+                               [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)])
+        with pytest.raises(FormatError) as err:
+            bound.check_admissible(bound.relation_set(line, []))
+        assert str(err.value) == (f"path algebra has over {bound.MAX_TRUNCATION_PATHS} "
+                                  "paths (MAX_TRUNCATION_PATHS)")
+        with pytest.raises(FormatError, match="truncation at maxlen 31 .*; lower maxlen"):
+            bound.truncated_path_algebra(line, 31)
 
     def test_single_loop_truncation_is_poly(self):
         q = validate_quiver(["1"], [("a", "1", "1")])
@@ -195,7 +208,18 @@ class TestBoundAlgebra:
             assert alg.radical(b).radical == image
 
     def test_dimension_bookkeeping_on_corpus(self):
-        # construction re-checks dim = #short paths - overlap internally
         for _, q in corpus.corpus_quivers(seed=3, count=6):
             b, _ = bound.bound_algebra(bound.relation_set(q, []))
             assert b.dim == path_algebra(q).dim
+
+    @given(cyclic_truncations(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dimension_bookkeeping_oracle(self, t, data):
+        # dim kQ/I = #paths shorter than m - dim(I within their span), which
+        # by Grassmann is dim(short + I) - dim(I); bound_algebra does not recount
+        r = admissible_relations(t, data)
+        report, _, ideal = bound._admissibility(r)
+        b, _ = bound.bound_algebra(r)
+        short = canonicalize([t.basis_vec(i) for i, p in enumerate(t.paths)
+                              if p.length < report.m], t.dim)
+        assert b.dim == subspace_sum(short, ideal).dim - ideal.dim
