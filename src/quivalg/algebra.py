@@ -61,7 +61,6 @@ from .linalg import (
     vec_add,
     vec_scale,
     vec_sub,
-    vstack,
     zero_subspace,
     zero_vec,
 )
@@ -708,11 +707,17 @@ def center_subalgebra(a: SCAlgebra) -> tuple[SCAlgebra, Subspace]:
     elements commuting with z form a subalgebra containing 1.
     """
     n = a.dim
-    stacked = vstack(
-        [a.left_mult_matrix(a.basis_vec(g)) - a.right_mult_matrix(a.basis_vec(g))
-         for g in generating_set(a)]
-    ) if n else Matrix(0, 0, [])
-    space = canonicalize(stacked.nullspace(), n)
+    rows = []
+    for g in generating_set(a):
+        # row k of L_g - R_g is (T[g,j,k] - T[j,g,k])_j, read off the table
+        diff: dict[int, list[Fraction]] = {}
+        for j in range(n):
+            for k, t in a.mul_basis(g, j).items():
+                diff.setdefault(k, [ZERO] * n)[j] += t
+            for k, t in a.mul_basis(j, g).items():
+                diff.setdefault(k, [ZERO] * n)[j] -= t
+        rows.extend(map(tuple, diff.values()))
+    space = canonicalize(Matrix._trusted(len(rows), n, tuple(rows)).nullspace(), n)
     labels = [f"z{k}" for k in range(space.dim)]
     table: SparseTable = {}
     rows = space.basis_rows()

@@ -9,6 +9,7 @@ for a fixed ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import adjunction as adj
@@ -332,7 +333,9 @@ def cmd_gallery(_args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="quivalg",
         description="quivers, path algebras, radicals, Gabriel quivers and "

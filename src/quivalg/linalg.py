@@ -298,12 +298,19 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.col(j) for j in range(other.cols)]
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(r, c)), ZERO) for c in cols)
-            for r in self.entries
-        )
-        return Matrix._trusted(self.rows, other.cols, out)
+        # row i is sum_k a_ik (row k of other) over nonzero a_ik; each row of
+        # other is read once, as (column, value) pairs
+        n = other.cols
+        rows = [_sparse(r).items() for r in other.entries]
+        out = []
+        for r in self.entries:
+            acc = [ZERO] * n
+            for a, row in zip(r, rows):
+                if a is not ZERO and a:
+                    for j, x in row:
+                        acc[j] += a * x
+            out.append(tuple(acc))
+        return Matrix._trusted(self.rows, n, tuple(out))
 
     def scale(self, c) -> "Matrix":
         c = frac(c)

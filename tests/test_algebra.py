@@ -916,6 +916,21 @@ def test_center_from_generators_matches_the_full_basis_stack():
     assert len(alg.generating_set(kq)) < kq.dim
 
 
+def test_center_read_off_the_table_is_literally_the_dense_stack():
+    rng = random.Random(11)
+    algebras = [a for _, a in corpus.corpus_basic()]
+    for n in (3, 4, 5):
+        size = n * (n + 1) // 2
+        entries = [[rng.randint(-2, 2) for _ in range(size * (size - 1) // 2)]
+                   for _ in range(2)]
+        diagonal = [rng.choice([-2, -1, 1, 2]) for _ in range(size)]
+        algebras.append(transport(alg.upper_triangular(n), lu_matrix(size, *entries, diagonal)))
+    for a in algebras:
+        got = alg.center_subalgebra(a)[1]
+        want = full_basis_center(a)
+        assert got.basis.entries == want.basis.entries and got.pivots == want.pivots
+
+
 # ---------------------------------------------------------------------------
 # the split test: algebra elements against the operator-matrix construction
 # ---------------------------------------------------------------------------

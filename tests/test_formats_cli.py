@@ -1,5 +1,6 @@
 """Text formats round-trip and the CLI behaves per its exit-code contract."""
 
+import contextlib
 import io
 import os
 import pathlib
@@ -445,3 +446,33 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout
+
+
+class TestSharedParser:
+    def test_consecutive_calls_match_calls_made_alone(self, monkeypatch):
+        """One parser serves every in-process call: no default or state leaks."""
+        calls = [
+            ["adjunction", "triangles", "--vquiver", "samples/chain.vq"],
+            ["adjunction", "triangles"],
+            ["quiver", "no-such-action", "samples/one_arrow.quiver"],
+            ["quiver", "info", "samples/one_arrow.quiver"],
+        ]
+        command, env = console_script_command("quivalg")
+        alone = []
+        for argv in calls:
+            result = subprocess.run(command + argv, capture_output=True, text=True,
+                                    env=env, cwd=ROOT)
+            alone.append((result.returncode, result.stdout))
+        monkeypatch.chdir(ROOT)
+        consecutive = []
+        for argv in calls:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            consecutive.append((code, out.getvalue()))
+        assert consecutive == alone
+        assert [code for code, _ in alone] == [0, 0, 2, 0]
+        assert "samples/chain.vq" in alone[0][1] and "samples/chain.vq" not in alone[1][1]

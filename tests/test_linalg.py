@@ -521,3 +521,60 @@ class TestIntersectAgainstKernelOracle:
 
     def test_full_with_full(self):
         assert subspace_intersect(full_subspace(3), full_subspace(3)) == full_subspace(3)
+
+
+# ---------------------------------------------------------------------------
+# the sparse product against the dense product it replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_matmul(a, b):
+    """Test-only oracle: the dense product that multiplied every entry."""
+    cols = [b.col(j) for j in range(b.cols)]
+    return tuple(
+        tuple(sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols)
+        for r in a.entries
+    )
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a.cols == b.rows: 0 x k, k x 0, rectangular, mostly zero
+    or dense Fraction entries."""
+    shape = draw(st.sampled_from(["empty-rows", "empty-cols", "empty-inner", "any"]))
+    m, k, n = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    if shape == "empty-rows":
+        m = 0
+    elif shape == "empty-cols":
+        n = 0
+    elif shape == "empty-inner":
+        k = 0
+    fill = draw(st.sampled_from(["mostly-zero", "dense", "mixed"]))
+    entries = {
+        "mostly-zero": st.one_of(*[st.just(0)] * 6, st.integers(-2, 2)),
+        "dense": st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        "mixed": rationals,
+    }[fill]
+
+    def matrix(rows, cols):
+        return Matrix(rows, cols, draw(st.lists(
+            st.tuples(*[entries] * cols), min_size=rows, max_size=rows)))
+
+    return matrix(m, k), matrix(k, n)
+
+
+class TestSparseProductAgainstDenseOracle:
+    @settings(max_examples=200)
+    @given(product_pairs())
+    def test_identical_entries_and_hash(self, pair):
+        a, b = pair
+        got = a * b
+        want = Matrix(a.rows, b.cols, dense_matmul(a, b))
+        assert got.entries == want.entries
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        assert got == want and hash(got) == hash(want)
+        assert all_fractions(got.entries)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix.zero(2, 3) * Matrix.zero(2, 3)

@@ -138,3 +138,148 @@ class TestConversion:
         with pytest.raises(Exception) as err:
             repcat.module_to_rep(mod)
         assert "bookkeeping" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# module axioms on generators against the full scan they replaced
+# ---------------------------------------------------------------------------
+
+
+def full_scan_validate_module(m):
+    """Test-only oracle: rho(e_i e_j) = rho(e_i) rho(e_j) on every basis pair."""
+    a = m.algebra
+    if len(m.action) != a.dim:
+        raise DimensionMismatch("one action matrix per basis element required")
+    for mat in m.action:
+        if mat.rows != m.dim or mat.cols != m.dim:
+            raise DimensionMismatch("action matrices must be square of the module size")
+    if m.act(a.unit) != Matrix.identity(m.dim):
+        raise ValidationError("the unit does not act as the identity")
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = m.action[i] * m.action[j]
+            rhs = Matrix.zero(m.dim, m.dim)
+            for k, c in a.mul_basis(i, j).items():
+                rhs = rhs + m.action[k].scale(c)
+            if lhs != rhs:
+                raise ValidationError(
+                    f"action is not multiplicative on "
+                    f"({a.basis_labels[i]}, {a.basis_labels[j]})",
+                    witness=(i, j),
+                )
+    return m
+
+
+def verdict(check, m):
+    try:
+        assert check(m) is m
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.witness
+    return "valid"
+
+
+def with_action(m, k, mat):
+    action = list(m.action)
+    action[k] = mat
+    return repcat.AlgebraModule(m.algebra, m.dim, tuple(action))
+
+
+def perturbations(mat):
+    """Matrices differing from mat: doubled, zeroed, and one entry moved."""
+    n = mat.rows
+    out = [mat.scale(2), Matrix.zero(n, n)]
+    for r, c in ((0, n - 1), (n - 1, 0), (n // 2, n // 2)):
+        bump = Matrix(n, n, [[int((i, j) == (r, c)) for j in range(n)] for i in range(n)])
+        out.append(mat + bump)
+    return [p for p in out if p != mat]
+
+
+def chain_rep(n):
+    q = validate_quiver([str(v) for v in range(1, n + 1)],
+                        [(f"x{v}", str(v), str(v + 1)) for v in range(1, n)])
+    spaces = {str(v): 1 + v % 2 for v in range(1, n + 1)}
+    maps = {f"x{v}": Matrix(spaces[str(v + 1)], spaces[str(v)],
+                            [[1 + (r + c + v) % 3 for c in range(spaces[str(v)])]
+                             for r in range(spaces[str(v + 1)])])
+            for v in range(1, n)}
+    return repcat.validate_rep(q, spaces, maps), path_algebra(q)
+
+
+def roundtrip_corpus():
+    """The modules of the roundtrip tests above and of ``rep convert``."""
+    out = [repcat.regular_module(a) for _, a in corpus.corpus_sbalg_ac() if a.paths]
+    q, kq = one_arrow_setup()
+    rep = repcat.validate_rep(q, {"1": 2, "2": 1}, {"h": Matrix(1, 2, [[3, 5]])})
+    out.append(repcat.rep_to_module(rep, algebra=kq))
+    q = validate_quiver(["1"], [("a", "1", "1")])
+    r = bound.relation_set(q, [[(1, ("a", "a", "a"))]], max_len=3)
+    nilp = Matrix(3, 3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    out.append(repcat.rep_to_module(
+        repcat.validate_rep(q, {"1": 3}, {"a": nilp}), bound=r))
+    q = validate_quiver(["1", "2", "3", "4"],
+                        [("x", "1", "2"), ("y", "2", "3"), ("z", "3", "4")])
+    rep = repcat.validate_rep(q, {"1": 1, "2": 2, "3": 2, "4": 1}, {
+        "x": Matrix(2, 1, [[1], [1]]), "y": Matrix.identity(2),
+        "z": Matrix(1, 2, [[1, -1]])})
+    out.append(repcat.rep_to_module(rep))
+    out.append(repcat.rep_to_module(chain_rep(5)[0]))
+    return out
+
+
+class TestModuleChecksOnGenerators:
+    def test_roundtrip_corpus_agrees(self):
+        for m in roundtrip_corpus():
+            assert verdict(repcat.validate_module, m) == "valid"
+            assert verdict(full_scan_validate_module, m) == "valid"
+            assert repcat.roundtrip_is_identity(m)
+
+    def test_broken_on_one_long_path_same_witness(self):
+        rep, kq = chain_rep(5)
+        # longest paths first, so the first failing pair of the full scan may
+        # lie outside the generators' rows
+        reordered = alg.algebra_from_paths(kq.quiver, kq.paths[::-1], None)
+        modules = [repcat.rep_to_module(rep, algebra=kq),
+                   repcat.rep_to_module(rep, algebra=reordered)] + [
+            repcat.regular_module(a) for _, a in corpus.corpus_sbalg_ac() if a.paths]
+        checked, outside = 0, 0
+        for m in modules:
+            a = m.algebra
+            for k, p in enumerate(a.paths):
+                if p.length < 2:
+                    continue
+                for bad in perturbations(m.action[k]):
+                    broken = with_action(m, k, bad)
+                    got = verdict(repcat.validate_module, broken)
+                    assert got != "valid"
+                    assert got == verdict(full_scan_validate_module, broken)
+                    checked += 1
+                    outside += got[2][0] not in alg.generating_set(a)
+        assert checked >= 20 and outside >= 1
+
+    def test_no_path_bookkeeping_whole_basis(self):
+        algebras = [alg.matrix_algebra(2), alg.truncated_poly(3), corpus.mixed_algebra(),
+                    alg.group_algebra(alg.cyclic_group_table(3))]
+        for a in algebras:
+            assert alg.generating_set(a) == tuple(range(a.dim))
+            m = repcat.regular_module(a)
+            assert verdict(full_scan_validate_module, m) == "valid"
+            for k in range(a.dim):
+                for bad in perturbations(m.action[k]):
+                    broken = with_action(m, k, bad)
+                    got = verdict(repcat.validate_module, broken)
+                    assert got == verdict(full_scan_validate_module, broken)
+
+    def test_products_only_with_generators(self, monkeypatch):
+        rep, kq = chain_rep(5)
+        m = repcat.rep_to_module(rep, algebra=kq)
+        count = 0
+        product = Matrix.__mul__
+
+        def counting(x, y):
+            nonlocal count
+            count += 1
+            return product(x, y)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+        repcat.validate_module(m)
+        assert count == len(alg.generating_set(kq)) * kq.dim < kq.dim ** 2
