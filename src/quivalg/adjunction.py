@@ -35,7 +35,7 @@ from .algebra import (
     unipotent_inverse,
     validate_hom,
 )
-from .bound import RelationSet, path_length_span, relation_set
+from .bound import RelationSet, inside_square, longest_path_outside, relation_set
 from .errors import CyclicInput, DimensionMismatch, QuivalgError, ValidationError
 from .linalg import (
     Matrix,
@@ -45,7 +45,6 @@ from .linalg import (
     canonicalize,
     frac,
     is_zero_vec,
-    subspace_contains,
     subspace_intersect,
     vec_add,
     vec_scale,
@@ -462,10 +461,10 @@ def present_as_bound_quiver(a: SCAlgebra) -> Presentation:
     eps = counit(a).representative
     t = eps.source
     kernel = canonicalize(eps.matrix.nullspace(), t.dim)
-    if not subspace_contains(path_length_span(t, 2), kernel):
+    if not inside_square(t, kernel):
         raise QuivalgError("counit kernel escapes the arrow-ideal square")
     m = ga.filtration.nilpotence_index
-    if not subspace_contains(kernel, path_length_span(t, m)):
+    if longest_path_outside(t, kernel) >= m:
         raise QuivalgError("kernel misses a power of the arrow ideal")
     graph = multigraph(ga.vquiver)
     terms = []

@@ -11,9 +11,16 @@ denominators in ``mult``); ``mul_vec``, ``validate_algebra`` and
 their results.  The integer table is not rederived, so in-place edits of
 ``mult`` are unsupported (rebinding it is refused by the frozen dataclass).
 
+``make_algebra`` proves a table from the user or a file unital and
+associative.  The builders (path concatenation, matrix units, truncated
+polynomials, checked Cayley tables, direct sums) and quotients construct
+``SCAlgebra`` directly: their tables are unital and associative by
+construction, so ``validate_algebra`` would only repeat the proof.
+
 The radical is computed from the trace form of the left regular
-representation (Dickson's criterion, valid in characteristic zero).  The
-split test for basic algebras refines the commutative quotient into ideals
+representation (Dickson's criterion, valid in characteristic zero), except
+on a graded path basis, where J^i is spanned by the paths of length >= i.
+The split test for basic algebras refines the commutative quotient into ideals
 cut out by the primary factors of the minimal polynomials of its basis
 elements, each found as an algebra element by one echelon pass; it rejects
 inputs that fail to split instead of assuming an algebraically closed field.
@@ -175,14 +182,6 @@ class SCAlgebra:
                     acc[k] = acc.get(k, 0) + c * t
         return acc
 
-    def left_mult_matrix(self, x: Sequence) -> Matrix:
-        cols = [self.mul_vec(x, self.basis_vec(j)) for j in range(self.dim)]
-        return Matrix(self.dim, self.dim, list(zip(*cols)) if cols else [])
-
-    def right_mult_matrix(self, x: Sequence) -> Matrix:
-        cols = [self.mul_vec(self.basis_vec(j), x) for j in range(self.dim)]
-        return Matrix(self.dim, self.dim, list(zip(*cols)) if cols else [])
-
     def full_space(self) -> Subspace:
         return full_subspace(self.dim)
 
@@ -204,13 +203,18 @@ def _normalize_table(dim: int, table) -> SparseTable:
     return mult
 
 
-def make_algebra(labels: Sequence[str], table, unit: Sequence, **bookkeeping) -> SCAlgebra:
+def _distinct_labels(labels: Sequence) -> tuple[str, ...]:
     labels = tuple(str(l) for l in labels)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate basis labels", witness=labels)
+    return labels
+
+
+def make_algebra(labels: Sequence[str], table, unit: Sequence) -> SCAlgebra:
+    """An algebra from a user's table, proved unital and associative."""
+    labels = _distinct_labels(labels)
     dim = len(labels)
-    a = SCAlgebra(dim, labels, _normalize_table(dim, table), vec(unit), **bookkeeping)
-    return validate_algebra(a)
+    return validate_algebra(SCAlgebra(dim, labels, _normalize_table(dim, table), vec(unit)))
 
 
 def validate_algebra(a: SCAlgebra) -> SCAlgebra:
@@ -297,10 +301,8 @@ def _matrix_unit_algebra(n: int, units: list[tuple[int, int]]) -> SCAlgebra:
         for b, (k, l) in enumerate(units):
             if j == k and (i, l) in index:
                 table[(a, b)] = {index[(i, l)]: ONE}
-    unit = [ZERO] * len(units)
-    for i in range(1, n + 1):
-        unit[index[(i, i)]] = ONE
-    return make_algebra(labels, table, unit)
+    unit = tuple(ONE if i == j else ZERO for i, j in units)
+    return SCAlgebra(len(units), tuple(labels), table, unit)
 
 
 def truncated_poly(m: int) -> SCAlgebra:
@@ -313,7 +315,7 @@ def truncated_poly(m: int) -> SCAlgebra:
         for j in range(m):
             if i + j < m:
                 table[(i, j)] = {i + j: ONE}
-    return make_algebra(labels, table, unit_vec(m, 0))
+    return SCAlgebra(m, tuple(labels), table, unit_vec(m, 0))
 
 
 def check_group_table(table: Sequence[Sequence[int]]) -> int:
@@ -346,12 +348,13 @@ def group_algebra(table: Sequence[Sequence[int]], labels: Sequence[str] | None =
     """Group algebra Q[G] from a Cayley table (checked to be a group)."""
     n = len(table)
     identity = check_group_table(table)
-    if labels is None:
-        labels = [f"g{i}" for i in range(n)]
+    labels = _distinct_labels([f"g{i}" for i in range(n)] if labels is None else labels)
+    if len(labels) != n:
+        raise DimensionMismatch("group algebra needs one label per group element")
     mult: SparseTable = {
         (i, j): {table[i][j]: ONE} for i in range(n) for j in range(n)
     }
-    return make_algebra(labels, mult, unit_vec(n, identity))
+    return SCAlgebra(n, labels, mult, unit_vec(n, identity))
 
 
 def cyclic_group_table(m: int) -> list[list[int]]:
@@ -389,38 +392,40 @@ def direct_sum(*algebras: SCAlgebra) -> SCAlgebra:
             table[(offset + i, offset + j)] = {offset + k: c for k, c in d.items()}
         unit.extend(a.unit)
         offset += a.dim
-    return make_algebra(labels, table, unit)
+    return SCAlgebra(offset, _distinct_labels(labels), table, tuple(unit))
 
 
 def algebra_from_paths(q, paths: Sequence, max_len: int | None) -> SCAlgebra:
     """Structure-constant algebra on a path basis with concatenation product.
 
-    For max_len = None the path list must be multiplicatively closed (the
-    acyclic case); otherwise products longer than max_len are zero.
+    The list holds each path's prefixes and end vertex, as ``enumerate_paths``
+    returns it.  For max_len = None it must be multiplicatively closed (the
+    acyclic case); otherwise it holds the paths of length <= max_len, and
+    longer products are zero.  Row u walks the paths v from the end of u one
+    arrow of ``q._out`` at a time, extending v and uv together.
     """
-    labels = [p.label for p in paths]
+    labels = tuple(p.label for p in paths)
     if len(set(labels)) != len(labels):
         raise ValidationError("path labels collide; rename arrows", witness=labels)
     index = _index_paths(paths)
+    if any((p.start, p.arrows[:-1]) not in index or (p.end, ()) not in index for p in paths):
+        raise QuivalgError("path basis lacks a prefix or the end vertex of a path")
+    # step[k][arrow] is the basis index of paths[k] followed by that arrow
+    step = [{lab: index[key] for lab, _, _ in q._out[p.end]
+             if (key := (p.start, p.arrows + (lab,))) in index} for p in paths]
     table: SparseTable = {}
     for i, u in enumerate(paths):
-        for j, v in enumerate(paths):
-            if u.end != v.start:
-                continue
-            combined = u.arrows + v.arrows
-            if max_len is not None and len(combined) > max_len:
-                continue
-            k = index.get((u.start, combined))
-            if k is None:
-                raise QuivalgError("path basis is not closed under concatenation")
+        todo = [(index[(u.end, ())], i)]  # (v, uv), grows while it is walked
+        for j, k in todo:
             table[(i, j)] = {k: ONE}
-    unit = [ZERO] * len(paths)
-    for i, p in enumerate(paths):
-        if p.length == 0:
-            unit[i] = ONE
-    return make_algebra(
-        labels, table, unit, paths=tuple(paths), quiver=q
-    )
+            for lab, j_next in step[j].items():
+                k_next = step[k].get(lab)
+                if k_next is not None:
+                    todo.append((j_next, k_next))
+                elif max_len is None or paths[k].length < max_len:
+                    raise QuivalgError("path basis is not closed under concatenation")
+    unit = tuple(ONE if p.length == 0 else ZERO for p in paths)
+    return SCAlgebra(len(paths), labels, table, unit, paths=tuple(paths), quiver=q)
 
 
 def _index_paths(paths: Sequence) -> dict[tuple, int]:
@@ -451,6 +456,26 @@ def generating_set(a: SCAlgebra) -> tuple[int, ...]:
             if rest is None or a.mult.get((first, rest)) != {k: ONE}:
                 return whole
     return tuple(k for k, p in enumerate(a.paths) if p.length < 2)
+
+
+@memoized
+def _graded_path_basis(a: SCAlgebra) -> bool:
+    """True when the table is path concatenation with some products zero.
+
+    ``generating_set`` proves each path the product of its arrows; if the
+    trivial paths sum to the unit and each nonzero product of basis paths is
+    their concatenation, the unit laws and associativity make every product
+    of paths their concatenation or zero.  Then J^i is spanned by the paths
+    of length >= i, and the trivial paths are primitive orthogonal idempotents.
+    """
+    paths = a.paths
+    if paths is None or generating_set(a) != tuple(k for k, p in enumerate(paths) if p.length < 2):
+        return False
+    index = path_index(a)
+    return a.unit == tuple(ONE if not p.length else ZERO for p in paths) and all(
+        paths[i].end == paths[j].start
+        and d == {index.get((paths[i].start, paths[i].arrows + paths[j].arrows)): ONE}
+        for (i, j), d in a.mult.items())
 
 
 def _generator_span(a: SCAlgebra) -> Subspace:
@@ -517,11 +542,18 @@ def radical(a: SCAlgebra) -> RadicalFiltration:
 
     J(A) is the nullspace of the Gram matrix G[i][j] = trace(L_{e_i e_j});
     higher powers come from iterated products J^(i+1) = J * J^i.  J is
-    verified to be a two-sided ideal.  Memoized on the algebra.
+    verified to be a two-sided ideal.  On a graded path basis (kQ, its
+    truncations and monomial quotients) J^i is read off as the span of the
+    paths of length >= i.  Memoized on the algebra.
     """
     n = a.dim
     if n == 0:
         return RadicalFiltration(a, (zero_subspace(0),))
+    if _graded_path_basis(a):
+        top = max(p.length for p in a.paths)
+        return RadicalFiltration(a, tuple(canonicalize(
+            [a.basis_vec(k) for k, p in enumerate(a.paths) if p.length >= i], n)
+            for i in range(top + 2)))
     left_traces = [ZERO] * n
     for (l, k), d in a.mult.items():
         c = d.get(k)
@@ -950,8 +982,12 @@ def lift_idempotents(a: SCAlgebra) -> IdempotentSet:
 
     Lifts the canonical idempotents of A/J along the projection by Newton
     iteration, orthogonalizing sequentially with f <- (1-s) f (1-s), and
-    verifies completeness, orthogonality and primitivity.
+    verifies completeness, orthogonality and primitivity.  On a graded path
+    basis these are the trivial paths, in basis order.
     """
+    if _graded_path_basis(a):
+        return IdempotentSet(a, tuple(
+            a.basis_vec(k) for k, p in enumerate(a.paths) if p.length == 0))
     filt = radical(a)
     b, proj = semisimple_quotient(a)
     j = filt.radical

@@ -16,25 +16,13 @@ from .algebra import (
     SCAlgebra, AlgebraHom, _quotient_by_ideal, algebra_from_paths, generating_set, memoized,
     path_index,
 )
-from .errors import FormatError, InadmissibleIdeal, ValidationError
-from .linalg import (
-    Subspace,
-    Vec,
-    _Echelon,
-    canonicalize,
-    frac,
-    subspace_contains,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
-from .quiver import Quiver, enumerate_paths, is_acyclic, longest_path_length, path_from_arrows
+from .errors import InadmissibleIdeal, ValidationError
+# canonicalize is not called here, but bench/test_bench.py checks its traced binding
+from .linalg import Subspace, Vec, _Echelon, canonicalize, frac, vec_add, vec_scale, zero_vec
+from .quiver import (Quiver, check_path_budget, enumerate_paths, is_acyclic,
+                     longest_path_length, path_from_arrows)
 
 RelationTerm = tuple[Fraction, tuple[str, ...]]  # coefficient, arrow labels
-
-# most paths a truncation may have; at this size (one loop at maxlen 511, or
-# two loops at maxlen 8) check_admissible takes a few seconds
-MAX_TRUNCATION_PATHS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,26 +65,11 @@ def relation_set(
 
 def truncated_path_algebra(q: Quiver, max_len: int) -> SCAlgebra:
     """kQ modulo all paths of length > max_len; finite even for cyclic Q.
-
-    Paths are counted by end vertex first: over MAX_TRUNCATION_PATHS, none is
-    built.  When max_len exceeds the longest path of an acyclic Q, the
-    truncation is inactive and the message names the path algebra instead."""
+    Over MAX_TRUNCATION_PATHS paths, ``check_path_budget`` refuses it unbuilt."""
     if max_len < 1:
         raise ValidationError("truncation bound must be at least 1")
-    ends, total = dict.fromkeys(q.vertices, 1), len(q.vertices)
-    for _ in range(min(max_len, MAX_TRUNCATION_PATHS)):  # each length adds a path, or none after
-        step = dict.fromkeys(q.vertices, 0)
-        for _, s, t in q.arrows:
-            step[t] += ends[s]
-        ends, total = step, total + sum(step.values())
-        if total > MAX_TRUNCATION_PATHS:
-            if is_acyclic(q) and longest_path_length(q) < max_len:
-                raise FormatError(f"path algebra has over {MAX_TRUNCATION_PATHS} "
-                                  "paths (MAX_TRUNCATION_PATHS)")
-            raise FormatError(f"truncation at maxlen {max_len} has over {MAX_TRUNCATION_PATHS} "
-                              "paths (MAX_TRUNCATION_PATHS); lower maxlen")
-    paths = enumerate_paths(q, max_len)
-    return algebra_from_paths(q, paths, max_len=max_len)
+    check_path_budget(q, max_len)
+    return algebra_from_paths(q, enumerate_paths(q, max_len), max_len=max_len)
 
 
 def relation_vector(t: SCAlgebra, rel: Sequence[RelationTerm]) -> Vec:
@@ -139,10 +112,18 @@ def arrow_ideal(t: SCAlgebra) -> Subspace:
     return ideal_closure(t, arrows)
 
 
-def path_length_span(t: SCAlgebra, min_len: int) -> Subspace:
-    return canonicalize(
-        [t.basis_vec(i) for i, p in enumerate(t.paths) if p.length >= min_len], t.dim
-    )
+def inside_square(t: SCAlgebra, ideal: Subspace) -> bool:
+    """I <= R_Q^2.  R_Q^2 is the span of the paths of length >= 2, a
+    coordinate subspace, so no RREF row of I may touch a shorter path."""
+    return all(t.paths[k].length >= 2 for row in ideal._rows.values() for k in row)
+
+
+def longest_path_outside(t: SCAlgebra, ideal: Subspace) -> int:
+    """The longest length of a basis path not in I, or -1: R_Q^m, the span of
+    the paths of length >= m, lies in I iff m exceeds it.  e_k lies in I iff
+    I has the RREF row e_k, as e_k = sum c_r r forces c_r = 0 at other pivots."""
+    inside = {p for p, row in ideal._rows.items() if len(row) == 1}
+    return max((p.length for k, p in enumerate(t.paths) if k not in inside), default=-1)
 
 
 @dataclass(frozen=True)
@@ -161,14 +142,9 @@ def _admissibility(r: RelationSet) -> tuple[AdmissibilityReport, SCAlgebra, Subs
     """The admissibility report with the truncation and ideal closure behind it."""
     t = truncated_path_algebra(r.quiver, r.max_len)
     ideal = ideal_closure(t, [relation_vector(t, rel) for rel in r.relations])
-    r_square = path_length_span(t, 2)
-    inside = subspace_contains(r_square, ideal)
-    m = None
-    for candidate in range(2, r.max_len + 2):
-        if subspace_contains(ideal, path_length_span(t, candidate)):
-            m = candidate
-            break
-    admissible = inside and m is not None and m <= r.max_len
+    inside = inside_square(t, ideal)
+    m = max(2, longest_path_outside(t, ideal) + 1)  # at most max_len + 1
+    admissible = inside and m <= r.max_len
     undetermined = inside and not admissible
     return AdmissibilityReport(admissible, m, inside, undetermined), t, ideal
 

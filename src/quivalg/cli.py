@@ -414,8 +414,10 @@ def _algebra_dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed usage (exit 2) or help (exit 0)
+        return exc.code
     try:
         return args.func(args)
     except FormatError as exc:

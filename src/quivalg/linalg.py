@@ -407,16 +407,6 @@ class Matrix:
         return Matrix._trusted(n, n, tuple(inv))
 
 
-def vstack(ms: Sequence[Matrix]) -> Matrix:
-    cols = ms[0].cols
-    rows = []
-    for m in ms:
-        if m.cols != cols:
-            raise DimensionMismatch("vstack needs equal column counts")
-        rows.extend(m.entries)
-    return Matrix._trusted(len(rows), cols, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------

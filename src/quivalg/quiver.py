@@ -12,7 +12,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import CyclicInput, ValidationError
+from .algebra import algebra_from_paths
+from .errors import CyclicInput, FormatError, ValidationError
+
+# most paths a path algebra or truncation may have; at this size (one loop at
+# maxlen 511, or two loops at maxlen 8) check_admissible takes under half a second
+MAX_TRUNCATION_PATHS = 512
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,28 @@ def longest_path_length(q: Quiver) -> int:
     return max(depth.values(), default=0)
 
 
+def check_path_budget(q: Quiver, max_len: int | None) -> None:
+    """Refuse more than MAX_TRUNCATION_PATHS paths of length <= max_len (or of
+    any length, for an acyclic q and max_len None) before any is built.
+
+    Paths are counted by end vertex, one length at a time.  When the bound
+    covers every path of an acyclic q, the message names the path algebra."""
+    ends, total = dict.fromkeys(q.vertices, 1), len(q.vertices)
+    for _ in range(max_len or MAX_TRUNCATION_PATHS):  # each length adds a path, or none after
+        step = dict.fromkeys(q.vertices, 0)
+        for _, s, t in q.arrows:
+            step[t] += ends[s]
+        ends, total = step, total + sum(step.values())
+        if total > MAX_TRUNCATION_PATHS:
+            if max_len is None or is_acyclic(q) and longest_path_length(q) < max_len:
+                raise FormatError(f"path algebra has over {MAX_TRUNCATION_PATHS} "
+                                  "paths (MAX_TRUNCATION_PATHS)")
+            raise FormatError(f"truncation at maxlen {max_len} has over {MAX_TRUNCATION_PATHS} "
+                              "paths (MAX_TRUNCATION_PATHS); lower maxlen")
+        if not any(step.values()):
+            return
+
+
 def path_algebra(q: Quiver):
     """The path algebra kQ as a structure-constant algebra.
 
@@ -157,10 +184,10 @@ def path_algebra(q: Quiver):
     cyclic quivers are supported through the truncated builders in the
     bound-quiver module.  The basis is the full path list; the unit is the
     sum of the trivial paths; path bookkeeping is attached to the result.
+    Over MAX_TRUNCATION_PATHS paths, ``check_path_budget`` refuses it unbuilt.
     """
-    from . import algebra  # local import: algebra depends on this module
-
     if not is_acyclic(q):
         raise CyclicInput("path algebra of a cyclic quiver is infinite dimensional")
+    check_path_budget(q, None)
     paths = enumerate_paths(q, max(len(q.vertices), 1))
-    return algebra.algebra_from_paths(q, paths, max_len=None)
+    return algebra_from_paths(q, paths, max_len=None)

@@ -105,9 +105,13 @@ def validate_module(m: AlgebraModule) -> AlgebraModule:
 
 
 def regular_module(a: SCAlgebra) -> AlgebraModule:
-    """V = A with basis elements acting by left multiplication."""
-    action = tuple(a.left_mult_matrix(a.basis_vec(i)) for i in range(a.dim))
-    return validate_module(AlgebraModule(a, a.dim, action))
+    """V = A with basis elements acting by left multiplication: e_i acts by
+    the matrix with T[i,j,k] in row k, column j, read off the table."""
+    n = a.dim
+    action = tuple(Matrix._trusted(n, n, tuple(
+        tuple(a.mul_basis(i, j).get(k, ZERO) for j in range(n)) for k in range(n)))
+        for i in range(n))
+    return validate_module(AlgebraModule(a, n, action))
 
 
 def check_rep_morphism(m1: AlgebraModule, m2: AlgebraModule, phi: Matrix) -> bool:

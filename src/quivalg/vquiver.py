@@ -18,15 +18,13 @@ from typing import Mapping, Sequence
 from .algebra import (
     AlgebraHom,
     SCAlgebra,
-    algebra_from_paths,
     hom_from_images,
-    make_algebra,
     memoized,
     path_index,
 )
 from .errors import CyclicInput, DimensionMismatch, QuivalgError, ValidationError
 from .linalg import ONE, Matrix, Vec, is_zero_vec, vec_add, vec_scale, zero_vec
-from .quiver import Quiver, enumerate_paths, is_acyclic, longest_path_length, validate_quiver
+from .quiver import Quiver, is_acyclic, longest_path_length, path_algebra, validate_quiver
 
 STAR = "*"
 
@@ -46,9 +44,6 @@ class Vquiver:
 
     def total_edge_dim(self) -> int:
         return sum(len(v) for v in self.edge_labels.values())
-
-    def dimension_matrix(self) -> list[list[int]]:
-        return [[self.dim(e, f) for f in self.vertices] for e in self.vertices]
 
 
 def validate_vquiver(
@@ -89,8 +84,7 @@ def validate_vquiver(
 def sigma_algebra(vq: Vquiver) -> SCAlgebra:
     """The vertex algebra: Q^n with the vertex labels as orthogonal idempotents."""
     n = len(vq.vertices)
-    table = {(i, i): {i: ONE} for i in range(n)}
-    return make_algebra(vq.vertices, table, (ONE,) * n)
+    return SCAlgebra(n, vq.vertices, {(i, i): {i: ONE} for i in range(n)}, (ONE,) * n)
 
 
 def multigraph(vq: Vquiver) -> Quiver:
@@ -127,48 +121,19 @@ def is_acyclic_vq(vq: Vquiver) -> Acyclicity:
     return Acyclicity(True, longest_path_length(graph) + 1)
 
 
-def tensor_power_dims(vq: Vquiver) -> list[int]:
-    """Dimensions of the tensor powers of the edge bimodule, degree 1 up.
-
-    Independent of the path machinery: entry sums of powers of the dimension
-    matrix.  Used as a cross-check against the word count.
-    """
-    n = len(vq.vertices)
-    d = vq.dimension_matrix()
-    dims = []
-    power = d
-    while any(x for row in power for x in row):
-        dims.append(sum(x for row in power for x in row))
-        power = [
-            [sum(power[i][k] * d[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        if len(dims) > n + 1:
-            raise QuivalgError("tensor powers fail to vanish; cyclic Vquiver")
-    return dims
-
-
 @memoized
 def path_algebra_vq(vq: Vquiver) -> SCAlgebra:
     """The tensor algebra T(Sigma, VQ1) on vertex idempotents and edge words.
 
     Basis: vertex idempotents, then composable words in edge-basis labels
     graded by length; multiplication is concatenation of composable words.
-    Coincides with the path algebra of the edge multigraph, and that identity
-    is asserted against the independent tensor-power dimension count.
-    Memoized on the Vquiver so repeated functor applications share one carrier.
+    It is the path algebra of the edge multigraph, built as such.  Memoized
+    on the Vquiver so repeated functor applications share one carrier.
     """
-    acyc = is_acyclic_vq(vq)
-    if not acyc.acyclic:
-        raise CyclicInput("path algebra of a cyclic Vquiver is infinite dimensional")
     graph = multigraph(vq)
-    t = algebra_from_paths(graph, enumerate_paths(graph, max(len(vq.vertices), 1)), max_len=None)
-    expected = len(vq.vertices) + sum(tensor_power_dims(vq))
-    if t.dim != expected:
-        raise QuivalgError(
-            f"word count {t.dim} disagrees with tensor dimension {expected}"
-        )
-    return t
+    if not is_acyclic(graph):
+        raise CyclicInput("path algebra of a cyclic Vquiver is infinite dimensional")
+    return path_algebra(graph)
 
 
 @dataclass(eq=False)

@@ -1,0 +1,138 @@
+"""Dense reference constructions shared by the tests.
+
+Most helpers build with whole matrices (inverses, stacked operator matrices,
+nullspaces of stacks) what the library now reads off sparse rows or tables,
+and tests require the library's answer to equal theirs literally; the rest
+move an algebra to another basis for those tests.
+"""
+
+from fractions import Fraction
+
+from quivalg import algebra as alg
+from quivalg.linalg import (
+    Matrix, canonicalize, quotient_basis, vec_add, vec_scale, zero_subspace, zero_vec,
+)
+
+
+def vstack(ms):
+    """The rows of the matrices ms, one block under the other."""
+    cols = ms[0].cols
+    assert all(m.cols == cols for m in ms)
+    return Matrix(sum(m.rows for m in ms), cols, [r for m in ms for r in m.entries])
+
+
+def left_mult_matrix(a, x):
+    """The matrix of y -> x y, built from products with the unit vectors."""
+    cols = [a.mul_vec(x, a.basis_vec(j)) for j in range(a.dim)]
+    return Matrix(a.dim, a.dim, list(zip(*cols)) if cols else [])
+
+
+def right_mult_matrix(a, x):
+    """The matrix of y -> y x, built from products with the unit vectors."""
+    cols = [a.mul_vec(a.basis_vec(j), x) for j in range(a.dim)]
+    return Matrix(a.dim, a.dim, list(zip(*cols)) if cols else [])
+
+
+def fraction_mul_vec(a, x, y):
+    """x * y summed term by term over the Fraction table."""
+    out = [Fraction(0)] * a.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            for k, t in a.mul_basis(i, j).items():
+                out[k] += xi * yj * t
+    return tuple(out)
+
+
+def transport(a, p):
+    """a in the basis of the columns of the invertible matrix p, unvalidated."""
+    n = a.dim
+    inv = p.inverse()
+    cols = [p.col(i) for i in range(n)]
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            coords = inv.apply(fraction_mul_vec(a, cols[i], cols[j]))
+            entry = {k: c for k, c in enumerate(coords) if c}
+            if entry:
+                table[(i, j)] = entry
+    return alg.SCAlgebra(n, tuple(f"f{i}" for i in range(n)), table, inv.apply(a.unit))
+
+
+def lu_matrix(n, lower, upper, diagonal):
+    """L * U with unit lower L and nonzero diagonal in U: always invertible."""
+    entries = iter(lower)
+    low = Matrix(n, n, [[1 if r == c else next(entries) if c < r else 0
+                         for c in range(n)] for r in range(n)])
+    entries = iter(upper)
+    up = Matrix(n, n, [[diagonal[r] if r == c else next(entries) if c > r else 0
+                        for c in range(n)] for r in range(n)])
+    return low * up
+
+
+def inverse_quotient(a, ideal):
+    """_quotient_by_ideal as it was built from a dense inverse.
+
+    Representatives from quotient_basis, the projection read off the inverse
+    of (reps | ideal rows), its kernel re-proved by a nullspace, and the
+    table as the projection of every product of two representatives.
+    """
+    reps = quotient_basis(a.full_space(), ideal)
+    r = len(reps)
+    rep_indices = []
+    for v in reps:
+        nonzero = [k for k, c in enumerate(v) if c != 0]
+        assert len(nonzero) == 1 and v[nonzero[0]] == 1  # reps are basis vectors
+        rep_indices.append(nonzero[0])
+    labels = [a.basis_labels[k] for k in rep_indices]
+    paths = tuple(a.paths[k] for k in rep_indices) if a.paths else None
+    inv = Matrix(a.dim, a.dim, list(reps) + list(ideal.basis_rows())).inverse()
+    proj_matrix = Matrix(
+        r, a.dim, [tuple(inv.entries[i][k] for i in range(a.dim)) for k in range(r)]
+    )
+    assert canonicalize(proj_matrix.nullspace(), a.dim) == ideal
+    table = {}
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            coords = proj_matrix.apply(a.mul_vec(x, y))
+            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            if entry:
+                table[(i, j)] = entry
+    quotient = alg.SCAlgebra(
+        r, tuple(labels), table, proj_matrix.apply(a.unit),
+        paths=paths, quiver=a.quiver if paths else None,
+    )
+    section = Matrix(a.dim, r, list(zip(*reps)) if reps else [[]] * a.dim)
+    return quotient, alg.AlgebraHom(a, quotient, proj_matrix, surjective=True, section=section)
+
+
+def full_basis_center(a):
+    """The center as the common kernel of L_i - R_i over the whole basis."""
+    n = a.dim
+    stacked = vstack([left_mult_matrix(a, a.basis_vec(i)) - right_mult_matrix(a, a.basis_vec(i))
+                      for i in range(n)])
+    return canonicalize(stacked.nullspace(), n)
+
+
+def kernel_intersect(u, w):
+    """Test-only oracle: the kernel construction the Zassenhaus pass replaced.
+
+    A vector lies in both spans iff it is a U-combination a and a
+    W-combination b with a*U - b*W = 0, i.e. (a, b) is in the kernel of the
+    transposed stacked basis matrix.
+    """
+    if u.dim == 0 or w.dim == 0:
+        return zero_subspace(u.ambient_dim)
+    stacked = vstack([u.basis, w.basis.scale(-1)])
+    kernel = stacked.transpose().nullspace()
+    vectors = []
+    for k in kernel:
+        v = zero_vec(u.ambient_dim)
+        for c, row in zip(k[: u.dim], u.basis_rows()):
+            if c:
+                v = vec_add(v, vec_scale(c, row))
+        vectors.append(v)
+    return canonicalize(vectors, u.ambient_dim)

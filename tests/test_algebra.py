@@ -14,12 +14,17 @@ import quivalg
 from quivalg import algebra as alg
 from quivalg import adjunction, bound, corpus
 from quivalg.errors import (
-    CyclicInput, NotBasicError, NotSplitOverQQ, QuivalgError, ValidationError,
+    CyclicInput, DimensionMismatch, NotBasicError, NotSplitOverQQ, QuivalgError,
+    ValidationError,
 )
 from quivalg.linalg import (
-    Matrix, canonicalize, is_zero_vec, products_within, quotient_basis, unit_vec, vstack,
+    Matrix, canonicalize, is_zero_vec, products_within, quotient_basis, unit_vec,
 )
-from quivalg.quiver import is_acyclic, path_algebra, validate_quiver
+from quivalg.quiver import enumerate_paths, is_acyclic, path_algebra, validate_quiver
+
+from dense_oracles import (
+    fraction_mul_vec, full_basis_center, inverse_quotient, lu_matrix, transport,
+)
 
 
 class TestValidation:
@@ -344,20 +349,6 @@ class TestSkippedChecksAsOracles:
 # ---------------------------------------------------------------------------
 
 
-def fraction_mul_vec(a, x, y):
-    """x * y summed term by term over the Fraction table."""
-    out = [Fraction(0)] * a.dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            for k, t in a.mul_basis(i, j).items():
-                out[k] += xi * yj * t
-    return tuple(out)
-
-
 def fraction_validate_algebra(a):
     """validate_algebra as Fraction loops: unit laws, then (ij)k = i(jk)."""
     n = a.dim
@@ -415,32 +406,6 @@ def outcome(check, obj):
     except ValidationError as exc:
         return type(exc), str(exc), exc.witness
     return None
-
-
-def transport(a, p):
-    """a in the basis of the columns of the invertible matrix p, unvalidated."""
-    n = a.dim
-    inv = p.inverse()
-    cols = [p.col(i) for i in range(n)]
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            coords = inv.apply(fraction_mul_vec(a, cols[i], cols[j]))
-            entry = {k: c for k, c in enumerate(coords) if c}
-            if entry:
-                table[(i, j)] = entry
-    return alg.SCAlgebra(n, tuple(f"f{i}" for i in range(n)), table, inv.apply(a.unit))
-
-
-def lu_matrix(n, lower, upper, diagonal):
-    """L * U with unit lower L and nonzero diagonal in U: always invertible."""
-    entries = iter(lower)
-    low = Matrix(n, n, [[1 if r == c else next(entries) if c < r else 0
-                         for c in range(n)] for r in range(n)])
-    entries = iter(upper)
-    up = Matrix(n, n, [[diagonal[r] if r == c else next(entries) if c > r else 0
-                        for c in range(n)] for r in range(n)])
-    return low * up
 
 
 SMALL_ALGEBRAS = [
@@ -779,42 +744,6 @@ class TestGeneratorProofs:
 # ---------------------------------------------------------------------------
 
 
-def inverse_quotient(a, ideal):
-    """_quotient_by_ideal as it was built from a dense inverse.
-
-    Representatives from quotient_basis, the projection read off the inverse
-    of (reps | ideal rows), its kernel re-proved by a nullspace, and the
-    table as the projection of every product of two representatives.
-    """
-    reps = quotient_basis(a.full_space(), ideal)
-    r = len(reps)
-    rep_indices = []
-    for v in reps:
-        nonzero = [k for k, c in enumerate(v) if c != 0]
-        assert len(nonzero) == 1 and v[nonzero[0]] == 1  # reps are basis vectors
-        rep_indices.append(nonzero[0])
-    labels = [a.basis_labels[k] for k in rep_indices]
-    paths = tuple(a.paths[k] for k in rep_indices) if a.paths else None
-    inv = Matrix(a.dim, a.dim, list(reps) + list(ideal.basis_rows())).inverse()
-    proj_matrix = Matrix(
-        r, a.dim, [tuple(inv.entries[i][k] for i in range(a.dim)) for k in range(r)]
-    )
-    assert canonicalize(proj_matrix.nullspace(), a.dim) == ideal
-    table = {}
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            coords = proj_matrix.apply(a.mul_vec(x, y))
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                table[(i, j)] = entry
-    quotient = alg.SCAlgebra(
-        r, tuple(labels), table, proj_matrix.apply(a.unit),
-        paths=paths, quiver=a.quiver if paths else None,
-    )
-    section = Matrix(a.dim, r, list(zip(*reps)) if reps else [[]] * a.dim)
-    return quotient, alg.AlgebraHom(a, quotient, proj_matrix, surjective=True, section=section)
-
-
 def assert_same_quotient(got, expected):
     """Literal equality, down to the key order of the table and of each entry."""
     (b, f), (c, g) = got, expected
@@ -894,14 +823,6 @@ class TestQuotientAgainstInverse:
         monkeypatch.setattr(Matrix, "nullspace", refuse)
         b, proj = alg.quotient_algebra(u4, j)
         assert b.dim == 4 and proj.surjective
-
-
-def full_basis_center(a):
-    """The center as the common kernel of L_i - R_i over the whole basis."""
-    n = a.dim
-    stacked = vstack([a.left_mult_matrix(a.basis_vec(i)) - a.right_mult_matrix(a.basis_vec(i))
-                      for i in range(n)])
-    return canonicalize(stacked.nullspace(), n)
 
 
 def test_center_from_generators_matches_the_full_basis_stack():
@@ -1118,3 +1039,221 @@ def test_import_leaves_sympy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# built algebras carry their proofs: builders against the make_algebra route,
+# the graded radical and trivial paths against the trace form
+# ---------------------------------------------------------------------------
+
+
+def pair_loop_algebra(q, paths, max_len):
+    """algebra_from_paths as it was: every pair of paths, then make_algebra."""
+    index = {(p.start, p.arrows): i for i, p in enumerate(paths)}
+    table = {}
+    for i, u in enumerate(paths):
+        for j, v in enumerate(paths):
+            combined = u.arrows + v.arrows
+            if u.end == v.start and (max_len is None or len(combined) <= max_len):
+                table[(i, j)] = {index[(u.start, combined)]: 1}
+    unit = [int(p.length == 0) for p in paths]
+    a = alg.make_algebra([p.label for p in paths], table, unit)
+    return dataclasses.replace(a, paths=tuple(paths), quiver=q)
+
+
+def assert_built_like(got, want):
+    """got passes validate_algebra and equals want in table, labels and paths."""
+    assert alg.validate_algebra(got) is got
+    assert alg.same_table(got, want)
+    assert (got.basis_labels, got.paths, got.quiver) == (want.basis_labels, want.paths,
+                                                         want.quiver)
+    assert all(type(c) is Fraction for c in got.unit)
+    assert all(type(c) is Fraction and c for d in got.mult.values() for c in d.values())
+
+
+@st.composite
+def path_bases(draw):
+    """(q, paths, max_len): all paths of a random acyclic quiver, or of a
+    small quiver with a cycle up to a random maxlen, in a random order."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        q = corpus.random_acyclic_quiver(rng, draw(st.integers(2, 5)), draw(st.integers(1, 7)))
+        max_len = None
+        paths = enumerate_paths(q, len(q.vertices))
+    else:
+        n = draw(st.integers(1, 3))
+        ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             min_size=1, max_size=3))
+        q = validate_quiver([str(v) for v in range(n)],
+                            [(f"a{k}", str(s), str(t)) for k, (s, t) in enumerate(ends)])
+        max_len = draw(st.integers(1, 4))
+        paths = enumerate_paths(q, max_len)
+        assume(len(paths) <= 40)
+    return q, draw(st.permutations(paths)), max_len
+
+
+def matrix_unit_route(n, units):
+    """U_n and M_n the old way, from products of actual unit matrices."""
+    mats = [Matrix(n, n, [[int((r, c) == (i - 1, j - 1)) for c in range(n)] for r in range(n)])
+            for i, j in units]
+    table = {}
+    for x, mx in enumerate(mats):
+        for y, my in enumerate(mats):
+            prod = mx * my
+            if not prod.is_zero():
+                table[(x, y)] = {mats.index(prod): 1}
+    sep = "" if n <= 9 else "_"
+    unit = [int(i == j) for i, j in units]
+    return alg.make_algebra([f"E{i}{sep}{j}" for i, j in units], table, unit)
+
+
+def group_route(cayley, labels=None):
+    n = len(cayley)
+    identity = next(e for e in range(n) if all(cayley[e][g] == g for g in range(n)))
+    table = {(i, j): {cayley[i][j]: 1} for i in range(n) for j in range(n)}
+    return alg.make_algebra(labels or [f"g{i}" for i in range(n)], table, unit_vec(n, identity))
+
+
+def direct_sum_route(*algebras):
+    labels, table, unit, offset = [], {}, [], 0
+    for k, a in enumerate(algebras):
+        labels.extend(l if l not in labels else f"s{k}.{l}" for l in a.basis_labels)
+        for (i, j), d in a.mult.items():
+            table[(offset + i, offset + j)] = {offset + c: x for c, x in d.items()}
+        unit.extend(a.unit)
+        offset += a.dim
+    return alg.make_algebra(labels, table, unit)
+
+
+def without_paths(a):
+    """a without path bookkeeping: radical and lift_idempotents take the trace form."""
+    return dataclasses.replace(a, paths=None, quiver=None)
+
+
+def assert_graded_is_trace_form(a):
+    """The graded answers on a are literally the trace-form ones."""
+    b = without_paths(a)
+    got, want = alg.radical(a).powers, alg.radical(b).powers
+    assert got == want
+    assert [s.pivots for s in got] == [s.pivots for s in want]
+    assert [s.basis.entries for s in got] == [s.basis.entries for s in want]
+    assert alg.lift_idempotents(a).idempotents == alg.lift_idempotents(b).idempotents
+
+
+class TestBuiltAlgebrasCarryTheirProofs:
+    @given(path_bases())
+    @settings(max_examples=40, deadline=None)
+    def test_path_tables_match_the_pair_loop(self, basis):
+        q, paths, max_len = basis
+        got = alg.algebra_from_paths(q, paths, max_len)
+        assert_built_like(got, pair_loop_algebra(q, paths, max_len))
+        assert alg._graded_path_basis(got)
+        assert_graded_is_trace_form(got)
+
+    def test_matrix_units_truncated_polys_and_groups(self):
+        for n in range(1, 5):
+            assert_built_like(alg.upper_triangular(n), matrix_unit_route(
+                n, [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]))
+        for n in range(1, 4):
+            assert_built_like(alg.matrix_algebra(n), matrix_unit_route(
+                n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]))
+        assert alg.upper_triangular(10).basis_labels[:2] == ("E1_1", "E1_2")
+        for m in range(1, 6):
+            labels = ["1", "x"][:m] + [f"x^{k}" for k in range(2, m)]
+            table = {(i, j): {i + j: 1} for i in range(m) for j in range(m) if i + j < m}
+            assert_built_like(alg.truncated_poly(m),
+                              alg.make_algebra(labels, table, unit_vec(m, 0)))
+        for m in range(1, 5):
+            assert_built_like(alg.group_algebra(alg.cyclic_group_table(m)),
+                              group_route(alg.cyclic_group_table(m)))
+        s3, labels = alg.symmetric_group_table(3)
+        assert_built_like(alg.group_algebra(s3, labels), group_route(s3, labels))
+
+    def test_group_algebra_labels_are_checked(self):
+        table = alg.cyclic_group_table(2)
+        with pytest.raises(ValidationError, match="duplicate basis labels"):
+            alg.group_algebra(table, ["g", "g"])
+        with pytest.raises(DimensionMismatch):
+            alg.group_algebra(table, ["g"])
+
+    @given(st.lists(st.sampled_from(range(len(SMALL_ALGEBRAS) + 1)), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_direct_sums(self, picks):
+        summands = [SMALL_ALGEBRAS[k] if k < len(SMALL_ALGEBRAS) else path_algebra(
+            validate_quiver(["1", "2"], [("h", "1", "2")])) for k in picks]
+        assert_built_like(alg.direct_sum(*summands), direct_sum_route(*summands))
+
+    def test_direct_sum_refuses_colliding_labels(self):
+        a = alg.make_algebra(["a", "s1.a"], {(0, 0): {0: 1}, (1, 1): {1: 1}}, [1, 1])
+        b = alg.make_algebra(["a"], {(0, 0): {0: 1}}, [1])
+        with pytest.raises(ValidationError, match="duplicate basis labels"):
+            alg.direct_sum(a, b)
+
+    def test_sigma_algebras(self):
+        from quivalg import vquiver
+        for _, vq in corpus.corpus_vquivers():
+            n = len(vq.vertices)
+            want = alg.make_algebra(vq.vertices, {(i, i): {i: 1} for i in range(n)}, [1] * n)
+            assert_built_like(vquiver.sigma_algebra(vq), want)
+
+    def test_path_basis_preconditions(self):
+        chain = validate_quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        short = enumerate_paths(chain, 1)
+        with pytest.raises(QuivalgError, match="not closed under concatenation"):
+            alg.algebra_from_paths(chain, short, None)
+        assert alg.algebra_from_paths(chain, short, 1).dim == 5
+        gapped = [p for p in enumerate_paths(chain, 2) if p.label != "a"]
+        with pytest.raises(QuivalgError, match="lacks a prefix"):
+            alg.algebra_from_paths(chain, gapped, 2)
+        endless = [p for p in short if p.label != "p_3"]
+        with pytest.raises(QuivalgError, match="end vertex"):
+            alg.algebra_from_paths(chain, endless, 1)
+
+    def test_graded_route_on_the_corpus_and_truncations(self):
+        graded = 0
+        for _, a in corpus.corpus_basic() + corpus.corpus_sbalg_ac():
+            assert_graded_is_trace_form(a)
+            graded += alg._graded_path_basis(a)
+        assert graded >= 3
+        for max_len in (1, 2, 3):
+            t = two_loop_truncation(max_len)
+            assert alg._graded_path_basis(t)
+            assert_graded_is_trace_form(t)
+
+    @given(cyclic_truncations(max_dim=16), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_monomial_quotients_are_graded(self, t, data):
+        longest = max(p.length for p in t.paths)
+        monomials = data.draw(st.lists(st.sampled_from(
+            [p.arrows for p in t.paths if p.length >= 2]), max_size=3))
+        r = bound.relation_set(t.quiver, [[(1, m)] for m in monomials] + [
+            [(1, p.arrows)] for p in t.paths if p.length == longest], max_len=longest)
+        assert bound.check_admissible(r)  # I <= R_Q^2 and R_Q^longest <= I
+        b, _ = bound.bound_algebra(r)
+        assert alg._graded_path_basis(b)
+        assert_graded_is_trace_form(b)
+
+    @given(cyclic_truncations(max_dim=16), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_an_extra_product_is_not_graded(self, t, data):
+        zero = [(i, j) for i in range(t.dim) for j in range(t.dim) if (i, j) not in t.mult]
+        i, j = data.draw(st.sampled_from(zero))
+        k = data.draw(st.integers(0, t.dim - 1))
+        assert not alg._graded_path_basis(
+            broken_in_one_entry(t, i, j, k, data.draw(nonzero_fractions)))
+        # e_1 e_2 = e_1 would be the concatenation, were the two composable
+        kq = path_algebra(validate_quiver(["1", "2"], [("h", "1", "2")]))
+        assert not alg._graded_path_basis(broken_in_one_entry(kq, 0, 1, 0, Fraction(1)))
+
+    def test_relations_of_mixed_length_keep_the_trace_form(self):
+        # a*b = c*d*e in kQ/I: the product c * (d*e) is the shorter path a*b,
+        # so J^3 = span(a*b) although no kept path has length 3
+        q = validate_quiver(["1", "2", "3", "4", "5"], [
+            ("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"), ("d", "4", "5"),
+            ("e", "5", "3")])
+        r = bound.relation_set(q, [[(1, ("a", "b")), (-1, ("c", "d", "e"))]])
+        b, _ = bound.bound_algebra(r)
+        assert alg.generating_set(b) != tuple(range(b.dim))
+        assert not alg._graded_path_basis(b)
+        assert alg.radical(b).power(3) == canonicalize([b.basis_vec(b.index_of("a*b"))], b.dim)
+        assert max(p.length for p in b.paths) == 2

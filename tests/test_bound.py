@@ -1,14 +1,16 @@
 """Admissible ideals and bound path algebras."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivalg import algebra as alg
-from quivalg import bound, corpus
+from quivalg import bound, corpus, quiver
 from quivalg.errors import FormatError, InadmissibleIdeal, ValidationError
-from quivalg.linalg import bilinear_image, canonicalize, subspace_sum
+from quivalg.adjunction import counit, present_as_bound_quiver
+from quivalg.linalg import bilinear_image, canonicalize, subspace_contains, subspace_sum
 from quivalg.quiver import path_algebra, validate_quiver
 
 from test_algebra import admissible_relations, cyclic_truncations
@@ -38,7 +40,7 @@ class TestTruncation:
 
     def test_path_budget(self, monkeypatch):
         # two loops have 7 paths up to length 2 and 15 up to length 3
-        monkeypatch.setattr(bound, "MAX_TRUNCATION_PATHS", 7)
+        monkeypatch.setattr(quiver, "MAX_TRUNCATION_PATHS", 7)
         assert bound.truncated_path_algebra(two_loop_quiver(), 2).dim == 7
         with pytest.raises(FormatError, match="maxlen 3 has over 7 paths"):
             bound.truncated_path_algebra(two_loop_quiver(), 3)
@@ -54,7 +56,7 @@ class TestTruncation:
                                [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)])
         with pytest.raises(FormatError) as err:
             bound.check_admissible(bound.relation_set(line, []))
-        assert str(err.value) == (f"path algebra has over {bound.MAX_TRUNCATION_PATHS} "
+        assert str(err.value) == (f"path algebra has over {quiver.MAX_TRUNCATION_PATHS} "
                                   "paths (MAX_TRUNCATION_PATHS)")
         with pytest.raises(FormatError, match="truncation at maxlen 31 .*; lower maxlen"):
             bound.truncated_path_algebra(line, 31)
@@ -157,6 +159,69 @@ class TestAdmissibility:
     def test_cyclic_needs_explicit_bound(self):
         with pytest.raises(ValidationError):
             bound.relation_set(two_loop_quiver(), [])
+
+
+def path_length_span(t, min_len):
+    """span{paths of length >= min_len} by one echelon pass."""
+    return canonicalize(
+        [t.basis_vec(i) for i, p in enumerate(t.paths) if p.length >= min_len], t.dim)
+
+
+def loop_admissibility(t, ideal, max_len):
+    """(I <= R_Q^2, m) as check_admissible found them before it read the
+    RREF rows: one containment of echelon spans per candidate m."""
+    inside = subspace_contains(path_length_span(t, 2), ideal)
+    m = next(c for c in range(2, max_len + 2)
+             if subspace_contains(ideal, path_length_span(t, c)))
+    return inside, m
+
+
+class TestCoordinateTests:
+    @given(cyclic_truncations(), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_reports_match_the_loop(self, t, with_longest, data):
+        longest = max(p.length for p in t.paths)
+        long_paths = [p for p in t.paths if p.length >= 2]
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(long_paths),
+                          max_size=len(long_paths))
+        relations = [[(c, p.arrows) for c, p in zip(row, long_paths) if c]
+                     for row in data.draw(st.lists(coeffs, max_size=3))]
+        relations = [rel for rel in relations if rel]
+        if with_longest:
+            relations += [[(1, p.arrows)] for p in t.paths if p.length == longest]
+        r = bound.relation_set(t.quiver, relations, max_len=longest)
+        report, t, ideal = bound._admissibility(r)
+        assert (report.inside_square, report.m) == loop_admissibility(t, ideal, longest)
+        assert report.admissible == (report.inside_square and report.m <= longest)
+
+    @given(cyclic_truncations(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_subspace_against_echelon_spans(self, t, data):
+        # in a basis not sorted by length, an RREF pivot row may hold longer
+        # paths than its pivot; unit vectors and combinations touching short
+        # paths make subspaces on both sides of each test
+        longest = max(p.length for p in t.paths)
+        t = alg.algebra_from_paths(t.quiver, data.draw(st.permutations(t.paths)), longest)
+        picks = st.lists(st.integers(0, t.dim - 1), max_size=t.dim)
+        vectors = [t.basis_vec(k) for k in data.draw(picks)]
+        for row in data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=t.dim,
+                                               max_size=t.dim), max_size=2)):
+            vectors.append(tuple(Fraction(c) for c in row))
+        s = canonicalize(vectors, t.dim)
+        assert bound.inside_square(t, s) == subspace_contains(path_length_span(t, 2), s)
+        outside = bound.longest_path_outside(t, s)
+        for c in range(max(p.length for p in t.paths) + 2):
+            assert (outside < c) == subspace_contains(s, path_length_span(t, c))
+
+    def test_presentation_kernels(self):
+        for _, a in corpus.corpus_sbalg_ac():
+            pres = present_as_bound_quiver(a)
+            t, kernel = counit(a).representative.source, pres.kernel
+            assert bound.inside_square(t, kernel) == subspace_contains(
+                path_length_span(t, 2), kernel)
+            m = pres.admissible_m
+            assert bound.longest_path_outside(t, kernel) < m
+            assert subspace_contains(kernel, path_length_span(t, m))
 
 
 class TestBoundAlgebra:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivalg import algebra as alg
-from quivalg import bound, corpus, formats
+from quivalg import bound, corpus, formats, quiver
 from quivalg.cli import main
 from quivalg.errors import FormatError, ValidationError
 from quivalg.quiver import validate_quiver
@@ -256,7 +256,22 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == (f"error (malformed input): truncation at maxlen 40 has over "
-                       f"{bound.MAX_TRUNCATION_PATHS} paths (MAX_TRUNCATION_PATHS); lower maxlen\n")
+                       f"{quiver.MAX_TRUNCATION_PATHS} paths (MAX_TRUNCATION_PATHS); lower maxlen\n")
+
+    def test_path_algebra_over_budget_exits_2(self, tmp_path, capsys):
+        # the complete DAG on 22 vertices has 2^22 - 1 paths; none is built
+        n = 22
+        lines = ["quiver"] + [f"vertex v{i}" for i in range(n)] + [
+            f"arrow a{i}_{j}: v{i} -> v{j}" for i in range(n) for j in range(i + 1, n)]
+        qf = tmp_path / "dag22.quiver"
+        qf.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, out = run_cli(["quiver", "path-algebra", str(qf)])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (f"error (malformed input): path algebra has over "
+                                           f"{quiver.MAX_TRUNCATION_PATHS} paths "
+                                           "(MAX_TRUNCATION_PATHS)\n")
 
     def test_inadmissible_exits_1(self, tmp_path):
         qf = tmp_path / "q.quiver"
@@ -468,11 +483,17 @@ class TestSharedParser:
         for argv in calls:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
+                code = main(argv)
             consecutive.append((code, out.getvalue()))
         assert consecutive == alone
         assert [code for code, _ in alone] == [0, 0, 2, 0]
         assert "samples/chain.vq" in alone[0][1] and "samples/chain.vq" not in alone[1][1]
+
+    def test_argparse_exits_become_return_codes(self, capsys):
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: quivalg") and err == ""
+        assert main(["quiver", "no-such-action", "samples/one_arrow.quiver"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: quivalg quiver")
+        assert "invalid choice: 'no-such-action'" in err

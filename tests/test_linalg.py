@@ -27,10 +27,11 @@ from quivalg.linalg import (
     unit_vec,
     vec_add,
     vec_scale,
-    vstack,
     zero_subspace,
     zero_vec,
 )
+
+from dense_oracles import kernel_intersect
 
 
 def sympy_rank(vectors, ambient):
@@ -459,27 +460,6 @@ class TestProductsWithin:
         with pytest.raises(DimensionMismatch):
             products_within(lambda x, y: x, full_subspace(2), full_subspace(2),
                             full_subspace(3))
-
-
-def kernel_intersect(u, w):
-    """Test-only oracle: the kernel construction the Zassenhaus pass replaced.
-
-    A vector lies in both spans iff it is a U-combination a and a
-    W-combination b with a*U - b*W = 0, i.e. (a, b) is in the kernel of the
-    transposed stacked basis matrix.
-    """
-    if u.dim == 0 or w.dim == 0:
-        return zero_subspace(u.ambient_dim)
-    stacked = vstack([u.basis, w.basis.scale(-1)])
-    kernel = stacked.transpose().nullspace()
-    vectors = []
-    for k in kernel:
-        v = zero_vec(u.ambient_dim)
-        for c, row in zip(k[: u.dim], u.basis_rows()):
-            if c:
-                v = vec_add(v, vec_scale(c, row))
-        vectors.append(v)
-    return canonicalize(vectors, u.ambient_dim)
 
 
 @st.composite

@@ -1,11 +1,14 @@
 """Quivers, path enumeration, path algebras."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivalg import algebra as alg
-from quivalg.errors import CyclicInput, ValidationError
+from quivalg.errors import CyclicInput, FormatError, ValidationError
 from quivalg.quiver import (
+    MAX_TRUNCATION_PATHS,
     Quiver,
     enumerate_paths,
     is_acyclic,
@@ -13,6 +16,7 @@ from quivalg.quiver import (
     path_algebra,
     validate_quiver,
 )
+from quivalg.vquiver import path_algebra_vq, vquiver_of_quiver
 
 
 def dfs_has_cycle(q: Quiver) -> bool:
@@ -194,3 +198,30 @@ class TestPathAlgebra:
             kq, u2, [u2.basis_vec(u2.index_of(assign[l])) for l in kq.basis_labels]
         )
         assert alg.is_isomorphism(f)
+
+
+def complete_dag(n):
+    """Arrows v_i -> v_j for all i < j: 2^(n-1) paths from the first vertex alone."""
+    return validate_quiver([f"v{i}" for i in range(n)],
+                           [(f"a{i}_{j}", f"v{i}", f"v{j}")
+                            for i in range(n) for j in range(i + 1, n)])
+
+
+class TestPathBudget:
+    def test_complete_dag_refused_before_enumeration(self):
+        q = complete_dag(22)
+        start = time.perf_counter()
+        for build in (path_algebra, lambda q: path_algebra_vq(vquiver_of_quiver(q))):
+            with pytest.raises(FormatError) as err:
+                build(q)
+            assert str(err.value) == (f"path algebra has over {MAX_TRUNCATION_PATHS} "
+                                      "paths (MAX_TRUNCATION_PATHS)")
+        assert time.perf_counter() - start < 1
+
+    def test_count_at_the_budget(self):
+        # the complete DAG on n vertices has 2^n - 1 paths: 511 fit, 1023 do not
+        q = complete_dag(9)
+        assert path_algebra(q).dim == count_paths_recursive(q, 9) == 511
+        assert path_algebra_vq(vquiver_of_quiver(q)).dim == 511
+        with pytest.raises(FormatError, match="path algebra has over"):
+            path_algebra(complete_dag(10))

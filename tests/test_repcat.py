@@ -8,6 +8,8 @@ from quivalg.errors import DimensionMismatch, ValidationError
 from quivalg.linalg import Matrix
 from quivalg.quiver import path_algebra, validate_quiver
 
+from dense_oracles import left_mult_matrix, right_mult_matrix
+
 
 def one_arrow_setup():
     q = validate_quiver(["1", "2"], [("h", "1", "2")])
@@ -49,14 +51,22 @@ class TestMorphisms:
     def test_right_multiplication_commutes(self):
         u2 = alg.upper_triangular(2)
         m = repcat.regular_module(u2)
-        phi = u2.right_mult_matrix(u2.basis_vec(u2.index_of("E12")))
+        phi = right_mult_matrix(u2, u2.basis_vec(u2.index_of("E12")))
         assert repcat.check_rep_morphism(m, m, phi)
 
     def test_morphisms_compose(self):
         u2 = alg.upper_triangular(2)
         m = repcat.regular_module(u2)
-        phi = u2.right_mult_matrix(u2.basis_vec(u2.index_of("E12")))
+        phi = right_mult_matrix(u2, u2.basis_vec(u2.index_of("E12")))
         assert repcat.check_rep_morphism(m, m, phi * phi)
+
+    def test_regular_module_is_literally_the_dense_left_multiplication(self):
+        algebras = [a for _, a in corpus.corpus_basic()] + [
+            alg.group_algebra(alg.cyclic_group_table(3)), alg.matrix_algebra(2),
+            bound.truncated_path_algebra(validate_quiver(["1"], [("x", "1", "1")]), 3)]
+        for a in algebras:
+            action = repcat.regular_module(a).action
+            assert action == tuple(left_mult_matrix(a, a.basis_vec(i)) for i in range(a.dim))
 
     def test_algebra_mismatch(self):
         m1 = repcat.regular_module(alg.truncated_poly(2))

@@ -17,11 +17,25 @@ from quivalg.vquiver import (
     is_acyclic_vq,
     path_algebra_vq,
     sigma_algebra,
-    tensor_power_dims,
     validate_vquiver,
     validate_vquiver_map,
     vquiver_of_quiver,
 )
+
+
+def tensor_power_dims(vq):
+    """Dimensions of the tensor powers of the edge bimodule, degree 1 up:
+    entry sums of the powers of the dimension matrix, no paths involved."""
+    n = len(vq.vertices)
+    d = [[vq.dim(e, f) for f in vq.vertices] for e in vq.vertices]
+    dims = []
+    power = d
+    while any(x for row in power for x in row):
+        dims.append(sum(x for row in power for x in row))
+        power = [[sum(power[i][k] * d[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        assert len(dims) <= n + 1, "tensor powers fail to vanish; cyclic Vquiver"
+    return dims
 
 
 class TestValidation:
