@@ -88,7 +88,6 @@ from .linalg import (
     curry_roundtrip,
     double_dual_naturality,
     products_within,
-    quotient_basis,
     subspace_contains,
     subspace_intersect,
     subspace_sum,

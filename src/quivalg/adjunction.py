@@ -23,12 +23,12 @@ from .algebra import (
     IdempotentSet,
     RadicalFiltration,
     SCAlgebra,
+    _quotient_by_ideal,
     hom_from_images,
     identity_hom,
     lift_idempotents,
     memoized,
     path_index,
-    quotient_algebra,
     radical,
     same_table,
     semisimple_quotient,
@@ -454,8 +454,10 @@ def present_as_bound_quiver(a: SCAlgebra) -> Presentation:
 
     The kernel of the counit is computed exactly and verified to be admissible
     (inside the square of the arrow ideal, containing the m-th power for m the
-    nilpotence index of J(A)); ``quotient_algebra`` proves it is a two-sided
-    ideal, and the induced map from the quotient is validated as an isomorphism.
+    nilpotence index of J(A)).  The counit is validated, unital and surjective,
+    so its kernel is a proper two-sided ideal, and the map it induces on the
+    quotient is a multiplicative unital bijection (square by rank-nullity):
+    neither is proved again.
     """
     ga = gabriel_vquiver(a)
     eps = counit(a).representative
@@ -478,12 +480,8 @@ def present_as_bound_quiver(a: SCAlgebra) -> Presentation:
         )
     max_len = max(2, m, max((p.length for p in t.paths), default=0) + 1)
     relations = relation_set(graph, terms, max_len=max_len)
-    quotient, proj = quotient_algebra(t, kernel)
-    iso = hom_from_images(
-        quotient, a, [eps.apply(proj.section.col(k)) for k in range(quotient.dim)]
-    )
-    if iso.matrix.rows != iso.matrix.cols or not iso.surjective:
-        raise QuivalgError("induced presentation map is not an isomorphism")
+    quotient, proj = _quotient_by_ideal(t, kernel)
+    iso = AlgebraHom(quotient, a, eps.matrix * proj.section, surjective=True)
     return Presentation(ga, relations, kernel, m, iso)
 
 

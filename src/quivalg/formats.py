@@ -39,6 +39,14 @@ def _shown(token: str) -> str:
     return f"{token[:20]!r}... ({len(token)} characters)"
 
 
+def _split_once(text: str, sep: str, line: str, kind: str) -> tuple[str, str]:
+    """``text`` cut at its first ``sep``; a FormatError naming ``line`` without one."""
+    if sep not in text:
+        raise FormatError(f"bad {kind} line {line!r}: no {sep!r}")
+    head, tail = text.split(sep, 1)
+    return head, tail
+
+
 def parse_scalar(token: str) -> Fraction:
     # Fraction alone also takes exponents, and expands 1e100000000 to 10^8 digits
     if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
@@ -115,11 +123,8 @@ def parse_quiver(text: str) -> Quiver:
         if line.startswith("vertex "):
             vertices.append(check_label(line[len("vertex "):].strip()))
         elif line.startswith("arrow "):
-            rest = line[len("arrow "):]
-            if ":" not in rest or "->" not in rest:
-                raise FormatError(f"bad arrow line {line!r}")
-            label, ends = rest.split(":", 1)
-            src, tgt = ends.split("->", 1)
+            label, ends = _split_once(line[len("arrow "):], ":", line, "arrow")
+            src, tgt = _split_once(ends, "->", line, "arrow")
             arrows.append(
                 (check_label(label.strip()), src.strip(), tgt.strip())
             )
@@ -157,10 +162,7 @@ def parse_algebra(text: str) -> SCAlgebra:
         elif line.startswith("unit:"):
             unit_terms = parse_lincomb(line[len("unit:"):])
         elif line.startswith("mul "):
-            rest = line[len("mul "):]
-            if "=" not in rest:
-                raise FormatError(f"bad mul line {line!r}")
-            left, rhs = rest.split("=", 1)
+            left, rhs = _split_once(line[len("mul "):], "=", line, "mul")
             factors = left.split()
             if len(factors) != 2:
                 raise FormatError(f"mul needs two basis labels: {line!r}")
@@ -253,10 +255,7 @@ def parse_vquiver(text: str) -> Vquiver:
         if line.startswith("vertex "):
             vertices.append(check_label(line[len("vertex "):].strip()))
         elif line.startswith("edges "):
-            rest = line[len("edges "):]
-            if ":" not in rest:
-                raise FormatError(f"bad edges line {line!r}")
-            pair_part, spec = rest.split(":", 1)
+            pair_part, spec = _split_once(line[len("edges "):], ":", line, "edges")
             pair = pair_part.split()
             if len(pair) != 2:
                 raise FormatError(f"edges line needs two vertices: {line!r}")
@@ -303,19 +302,13 @@ def parse_rep(text: str, quiver: Quiver):
     arrow_shape = {lab: (s, t) for lab, s, t in quiver.arrows}
     for line in lines[1:]:
         if line.startswith("space "):
-            rest = line[len("space "):]
-            if ":" not in rest:
-                raise FormatError(f"bad space line {line!r}")
-            v, d = rest.split(":", 1)
+            v, d = _split_once(line[len("space "):], ":", line, "space")
             try:
                 spaces[v.strip()] = int(d)
             except ValueError:
                 raise FormatError(f"bad dimension in {line!r}") from None
         elif line.startswith("map "):
-            rest = line[len("map "):]
-            if ":" not in rest:
-                raise FormatError(f"bad map line {line!r}")
-            lab, body = rest.split(":", 1)
+            lab, body = _split_once(line[len("map "):], ":", line, "map")
             lab = lab.strip()
             if lab not in arrow_shape:
                 raise FormatError(f"map for unknown arrow {lab!r}")
@@ -369,25 +362,16 @@ def parse_category(text: str) -> FinCategory:
         if line.startswith("objects:"):
             objects = [check_label(t) for t in line[len("objects:"):].split()]
         elif line.startswith("mor "):
-            rest = line[len("mor "):]
-            if ":" not in rest or "->" not in rest:
-                raise FormatError(f"bad mor line {line!r}")
-            lab, ends = rest.split(":", 1)
-            x, y = ends.split("->", 1)
+            lab, ends = _split_once(line[len("mor "):], ":", line, "mor")
+            x, y = _split_once(ends, "->", line, "mor")
             lab, x, y = lab.strip(), x.strip(), y.strip()
             homs.setdefault((x, y), []).append(check_label(lab))
             endpoints[lab] = (x, y)
         elif line.startswith("id "):
-            rest = line[len("id "):]
-            if "=" not in rest:
-                raise FormatError(f"bad id line {line!r}")
-            x, lab = rest.split("=", 1)
+            x, lab = _split_once(line[len("id "):], "=", line, "id")
             identities[x.strip()] = lab.strip()
         elif line.startswith("comp "):
-            rest = line[len("comp "):]
-            if "=" not in rest:
-                raise FormatError(f"bad comp line {line!r}")
-            left, h = rest.split("=", 1)
+            left, h = _split_once(line[len("comp "):], "=", line, "comp")
             pair = left.split()
             if len(pair) != 2:
                 raise FormatError(f"comp needs two morphisms: {line!r}")
@@ -437,29 +421,30 @@ def parse_galois(text: str) -> tuple[Poset, Poset, dict[str, str], dict[str, str
     g_map: dict[str, str] = {}
     for line in lines[1:]:
         if line.startswith("poset "):
-            rest = line[len("poset "):]
-            name, elems = rest.split(":", 1)
+            name, elems = _split_once(line[len("poset "):], ":", line, "poset")
             name = name.strip()
             names.append(name)
             elements[name] = [check_label(t) for t in elems.split()]
             gens.setdefault(name, [])
         elif line.startswith("le "):
-            rest = line[len("le "):]
-            name, pair = rest.split(":", 1)
+            name, pair = _split_once(line[len("le "):], ":", line, "le")
             toks = pair.split()
             if len(toks) != 2:
                 raise FormatError(f"le line needs two elements: {line!r}")
             gens.setdefault(name.strip(), []).append((toks[0], toks[1]))
         elif line.startswith("F:"):
-            a, b = line[len("F:"):].split("->", 1)
+            a, b = _split_once(line[len("F:"):], "->", line, "F")
             f_map[a.strip()] = b.strip()
         elif line.startswith("G:"):
-            a, b = line[len("G:"):].split("->", 1)
+            a, b = _split_once(line[len("G:"):], "->", line, "G")
             g_map[a.strip()] = b.strip()
         else:
             raise FormatError(f"unrecognized galois line {line!r}")
     if len(names) != 2:
         raise FormatError("galois file needs exactly two posets")
+    for name in gens:
+        if name not in elements:
+            raise FormatError(f"le line names an undeclared poset {name!r}")
     posets = []
     for name in names:
         le = _transitive_reflexive_closure(elements[name], gens.get(name, []))
@@ -483,10 +468,10 @@ def parse_functor(text: str, source: FinCategory, target: FinCategory) -> FinFun
     morphism_map: dict[str, str] = {}
     for line in lines[1:]:
         if line.startswith("ob "):
-            a, b = line[len("ob "):].split("->", 1)
+            a, b = _split_once(line[len("ob "):], "->", line, "ob")
             object_map[a.strip()] = b.strip()
         elif line.startswith("mor "):
-            a, b = line[len("mor "):].split("->", 1)
+            a, b = _split_once(line[len("mor "):], "->", line, "mor")
             morphism_map[a.strip()] = b.strip()
         else:
             raise FormatError(f"unrecognized functor line {line!r}")

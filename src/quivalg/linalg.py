@@ -11,16 +11,15 @@ reduces each incoming vector on insertion and drops it when it reduces to
 zero, stops taking vectors once the rank equals the ambient dimension, and
 back-substitutes once at the end to give the unique RREF.  ``Matrix.rref``,
 ``rank``, ``nullspace``, ``solve``, ``inverse``, ``canonicalize``,
-``subspace_sum``, ``subspace_intersect``, ``bilinear_image``,
-``quotient_basis`` and the first-relation search ``_monic_relation`` (behind
-minimal polynomials of algebra elements) all run through it.  Its outputs
-are wrapped by the trusted ``Matrix._trusted`` constructor, which skips the
-entry coercion of the public ``Matrix(...)``.  A ``Subspace`` computes its
-pivots and sparse rows once, so membership tests (``contains_vector``,
-``subspace_contains``, ``products_within``) reduce against them without
-building new subspaces.  ``quotient_basis`` stays public, but algebra
-quotients read their representatives off one right-to-left ``canonicalize``
-of the ideal instead.
+``subspace_sum``, ``subspace_intersect``, ``bilinear_image`` and the
+first-relation search ``_monic_relation`` (behind minimal polynomials of
+algebra elements) all run through it.  Its outputs are wrapped by the
+trusted ``Matrix._trusted`` constructor, which skips the entry coercion of
+the public ``Matrix(...)``.  A ``Subspace`` computes its pivots and sparse
+rows once, so membership tests (``contains_vector``, ``subspace_contains``,
+``products_within``) reduce against them without building new subspaces.
+Algebra quotients read their representatives off one right-to-left
+``canonicalize`` of the ideal.
 
 Conventions fixed here and used by every other module:
 
@@ -538,20 +537,6 @@ def subspace_contains(u: Subspace, w: Subspace) -> bool:
     """True iff w is contained in u."""
     _check_same_ambient(u, w)
     return all(u.contains_vector(r) for r in w.basis_rows())
-
-
-def quotient_basis(u: Subspace, w: Subspace) -> list[Vec]:
-    """Vectors of u completing a basis of w to a basis of u.
-
-    Deterministic RREF-pivot completion: walk u's RREF rows in order and keep
-    the ones independent of w and of the rows already kept (one echelon pass
-    seeded with w).  Returns exactly dim(u) - dim(w) vectors.
-    """
-    _check_same_ambient(u, w)
-    if not subspace_contains(u, w):
-        raise QuivalgError("quotient_basis requires w to be a subspace of u")
-    span = _Echelon(u.ambient_dim, w)
-    return [row for row in u.basis_rows() if span.add(row)]
 
 
 def bilinear_image(mult, u: Subspace, w: Subspace) -> Subspace:

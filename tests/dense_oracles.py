@@ -9,8 +9,10 @@ move an algebra to another basis for those tests.
 from fractions import Fraction
 
 from quivalg import algebra as alg
+from quivalg.errors import QuivalgError, ValidationError
 from quivalg.linalg import (
-    Matrix, canonicalize, quotient_basis, vec_add, vec_scale, zero_subspace, zero_vec,
+    Matrix, _check_same_ambient, _Echelon, canonicalize, is_zero_vec, subspace_contains,
+    vec_add, vec_scale, zero_subspace, zero_vec,
 )
 
 
@@ -19,6 +21,40 @@ def vstack(ms):
     cols = ms[0].cols
     assert all(m.cols == cols for m in ms)
     return Matrix(sum(m.rows for m in ms), cols, [r for m in ms for r in m.entries])
+
+
+def quotient_basis(u, w):
+    """Vectors of u completing a basis of w to a basis of u.
+
+    Deterministic RREF-pivot completion: walk u's RREF rows in order and keep
+    the ones independent of w and of the rows already kept (one echelon pass
+    seeded with w).  Returns exactly dim(u) - dim(w) vectors.
+    """
+    _check_same_ambient(u, w)
+    if not subspace_contains(u, w):
+        raise QuivalgError("quotient_basis requires w to be a subspace of u")
+    span = _Echelon(u.ambient_dim, w)
+    return [row for row in u.basis_rows() if span.add(row)]
+
+
+def check_lifted_idempotents(a, idems):
+    """The orthogonality and primitivity scans lift_idempotents proves by
+    construction: f prev = prev f = 0 for each earlier prev, and
+    dim eAe = dim eJe + 1 for each e."""
+    j = alg.radical(a).radical
+    for k, f in enumerate(idems):
+        for prev in idems[:k]:
+            if not is_zero_vec(a.mul_vec(f, prev)) or not is_zero_vec(a.mul_vec(prev, f)):
+                raise QuivalgError("lifted idempotents are not orthogonal")
+    for e in idems:
+        corner = canonicalize(
+            [a.mul_vec(a.mul_vec(e, a.basis_vec(k)), e) for k in range(a.dim)], a.dim
+        )
+        corner_rad = canonicalize(
+            [a.mul_vec(a.mul_vec(e, r), e) for r in j.basis_rows()], a.dim
+        )
+        if corner.dim != corner_rad.dim + 1:
+            raise ValidationError("lifted idempotent is not primitive")
 
 
 def left_mult_matrix(a, x):
@@ -71,6 +107,20 @@ def lu_matrix(n, lower, upper, diagonal):
     up = Matrix(n, n, [[diagonal[r] if r == c else next(entries) if c > r else 0
                         for c in range(n)] for r in range(n)])
     return low * up
+
+
+def dense_upper_triangular(n, rng):
+    """U_n transported by a seeded dense invertible change of basis."""
+    u = alg.upper_triangular(n)
+    d = u.dim
+    size = d * (d - 1) // 2
+    p = lu_matrix(
+        d,
+        [rng.randint(-2, 2) for _ in range(size)],
+        [rng.randint(-2, 2) for _ in range(size)],
+        [rng.choice([-2, -1, 1, 2]) for _ in range(d)],
+    )
+    return transport(u, p)
 
 
 def inverse_quotient(a, ideal):

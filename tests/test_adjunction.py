@@ -2,15 +2,17 @@
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivalg import adjunction as adj
 from quivalg import algebra as alg
 from quivalg import bound, corpus, linalg
 from quivalg.errors import CyclicInput, QuivalgError, ValidationError
-from quivalg.linalg import Matrix, canonicalize, quotient_basis
+from quivalg.linalg import Matrix, canonicalize
 from quivalg.quiver import path_algebra, validate_quiver
 from quivalg.vquiver import (
     compose_vquiver_maps,
@@ -20,7 +22,9 @@ from quivalg.vquiver import (
     validate_vquiver,
     vquiver_maps_equal,
 )
-from dense_oracles import kernel_intersect, lu_matrix, transport
+from dense_oracles import (
+    dense_upper_triangular, kernel_intersect, lu_matrix, quotient_basis, transport,
+)
 
 
 def u3_edge_dims_by_matrix_units(n=3):
@@ -132,20 +136,6 @@ class TestGabriel:
     def test_not_basic_rejected(self):
         with pytest.raises(Exception):
             adj.gabriel_vquiver(alg.matrix_algebra(2))
-
-
-def dense_upper_triangular(n, rng):
-    """U_n transported by a seeded dense invertible change of basis."""
-    u = alg.upper_triangular(n)
-    d = u.dim
-    size = d * (d - 1) // 2
-    p = lu_matrix(
-        d,
-        [rng.randint(-2, 2) for _ in range(size)],
-        [rng.randint(-2, 2) for _ in range(size)],
-        [rng.choice([-2, -1, 1, 2]) for _ in range(d)],
-    )
-    return transport(u, p)
 
 
 class TestEdgeSpaces:
@@ -355,6 +345,18 @@ class TestTriangles:
             assert adj.ndepth_equivalent(left, right, 1)
 
 
+PRESENTED = [("U3", alg.upper_triangular(3)), ("U4", alg.upper_triangular(4))] + [
+    (name, a) for name, a in corpus.corpus_sbalg_ac() if a.dim <= 6]
+
+
+def presentation_invariants(a):
+    """What a change of basis must leave alone: the radical dimension chain,
+    the multiset of Gabriel edge dimensions, dim ker and m."""
+    pres = adj.present_as_bound_quiver(a)
+    return ([s.dim for s in alg.radical(a).powers], sorted(pres.gabriel.edge_dims().values()),
+            pres.kernel.dim, pres.admissible_m)
+
+
 class TestPresentation:
     def test_memos_die_with_the_algebra(self):
         u4 = alg.upper_triangular(4)
@@ -393,3 +395,37 @@ class TestPresentation:
             assert report.admissible, name
             rebuilt, _ = bound.bound_algebra(pres.relations)
             assert rebuilt.dim == a.dim, name
+            # the ideal and isomorphism proofs the presentation trusts
+            t = adj.counit(a).representative.source
+            alg.quotient_algebra(t, pres.kernel)
+            assert alg.validate_hom(pres.isomorphism).surjective, name
+
+    def test_presentation_proves_nothing_twice(self, monkeypatch):
+        a = dense_upper_triangular(3, random.Random(3))  # fresh, so nothing is memoized
+        calls = {"quotient_algebra": 0, "validate_hom": 0}
+        for name in calls:
+            original = getattr(alg, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for mod in list(sys.modules.values()):
+                if (mod.__name__.startswith("quivalg")
+                        and getattr(mod, name, None) is original):
+                    monkeypatch.setattr(mod, name, counted)
+        pres = adj.present_as_bound_quiver(a)
+        assert calls == {"quotient_algebra": 0, "validate_hom": 1}  # validate_hom: the counit
+        assert alg.is_isomorphism(pres.isomorphism)
+
+    @given(st.sampled_from(PRESENTED), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_dense_transports_present_alike(self, case, data):
+        name, a = case
+        n = a.dim
+        size = n * (n - 1) // 2
+        entries = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+        diagonal = st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=n, max_size=n)
+        p = lu_matrix(n, data.draw(entries), data.draw(entries), data.draw(diagonal))
+        b = alg.validate_algebra(transport(a, p))
+        assert presentation_invariants(b) == presentation_invariants(a), name

@@ -18,12 +18,13 @@ from quivalg.errors import (
     ValidationError,
 )
 from quivalg.linalg import (
-    Matrix, canonicalize, is_zero_vec, products_within, quotient_basis, unit_vec,
+    Matrix, canonicalize, is_zero_vec, products_within, unit_vec,
 )
 from quivalg.quiver import enumerate_paths, is_acyclic, path_algebra, validate_quiver
 
 from dense_oracles import (
-    fraction_mul_vec, full_basis_center, inverse_quotient, lu_matrix, transport,
+    check_lifted_idempotents, dense_upper_triangular, fraction_mul_vec, full_basis_center,
+    inverse_quotient, lu_matrix, transport,
 )
 
 
@@ -294,6 +295,9 @@ class TestSkippedChecksAsOracles:
             assert_radical_powers_are_ideals(a)
             for s in alg.radical(a).powers[1:]:
                 assert_quotient_passes_full_checks(a, s)
+            # semisimple_quotient trusts radical's ideal proof
+            assert_same_quotient(alg.semisimple_quotient(a),
+                                 alg.quotient_algebra(a, alg.radical(a).radical))
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -577,8 +581,12 @@ class TestIdempotents:
         assert alg.lift_idempotents(a).idempotents == (a.unit,)
 
     def test_corpus_invariants(self):
-        for _, a in corpus.corpus_basic():
+        rng = random.Random(5)
+        cases = list(corpus.corpus_basic())
+        cases += [(f"dense-U{n}", dense_upper_triangular(n, rng)) for n in (3, 4, 5)]
+        for _, a in cases:
             idems = alg.lift_idempotents(a).idempotents
+            check_lifted_idempotents(a, idems)
             total = a.unit
             for e in idems:
                 assert a.mul_vec(e, e) == e
@@ -788,6 +796,8 @@ class TestQuotientAgainstInverse:
         _, _, b = case
         for s in proper_radical_powers(b):
             assert_same_quotient(alg.quotient_algebra(b, s), inverse_quotient(b, s))
+        assert_same_quotient(alg.semisimple_quotient(b),
+                             alg.quotient_algebra(b, alg.radical(b).radical))
 
     @given(st.sampled_from(BASIC), st.data())
     @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quivalg import algebra as alg
 from quivalg import bound, corpus, formats, quiver
@@ -408,6 +408,97 @@ def console_script_command(name):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return [sys.executable, "-c", code], env
+
+
+SAMPLES = ROOT / "samples"
+
+# each sample with the CLI call that reads it from stdin
+SAMPLE_COMMANDS = {
+    "arrow_category.cat": ["cat", "validate", "-"],
+    "chain.vq": ["vquiver", "info", "-"],
+    "closure.galois": ["cat", "adjunction", "-"],
+    "one_arrow.quiver": ["quiver", "info", "-"],
+    "one_arrow.rep": ["rep", "validate", "-", "--quiver", str(SAMPLES / "one_arrow.quiver")],
+    "square.quiver": ["quiver", "info", "-"],
+    "square.rel": ["bound", "check", str(SAMPLES / "square.quiver"), "-"],
+    "two_loops.quiver": ["quiver", "info", "-"],
+    "two_loops.rel": ["bound", "check", str(SAMPLES / "two_loops.quiver"), "-"],
+}
+
+
+@st.composite
+def mutated_samples(draw):
+    """A sample file with one line mutated: a character deleted or inserted,
+    the line truncated, duplicated or dropped."""
+    name = draw(st.sampled_from(sorted(SAMPLE_COMMANDS)))
+    lines = (SAMPLES / name).read_text().splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    kind = draw(st.sampled_from(["delete", "insert", "truncate", "duplicate", "drop"]))
+    if kind == "delete":
+        i = draw(st.integers(0, len(line) - 1))
+        lines[k] = line[:i] + line[i + 1:]
+    elif kind == "insert":
+        i = draw(st.integers(0, len(line)))
+        lines[k] = line[:i] + draw(st.sampled_from(":->*/ 0123456789x")) + line[i:]
+    elif kind == "truncate":
+        lines[k] = line[:draw(st.integers(0, len(line)))]
+    elif kind == "duplicate":
+        lines.insert(k, line)
+    else:
+        del lines[k]
+    return name, "\n".join(lines) + "\n"
+
+
+def run_cli_with_stderr(args, stdin_text):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(args, stdin_text)
+    return code, err.getvalue()
+
+
+GALOIS = (SAMPLES / "closure.galois").read_text()
+CATEGORY = str(SAMPLES / "arrow_category.cat")
+
+
+class TestMalformedLines:
+    def test_every_sample_has_a_command(self):
+        assert sorted(p.name for p in SAMPLES.iterdir()) == sorted(SAMPLE_COMMANDS)
+        for name, args in SAMPLE_COMMANDS.items():
+            assert run_cli(args, (SAMPLES / name).read_text())[0] == 0, name
+
+    @given(mutated_samples())
+    @settings(max_examples=100, deadline=None)
+    def test_one_mutated_line_exits_0_1_or_2(self, sample):
+        name, text = sample
+        code, err = run_cli_with_stderr(SAMPLE_COMMANDS[name], text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, text", [
+        pytest.param(SAMPLE_COMMANDS["closure.galois"], GALOIS.replace("poset J:", "poset J"),
+                     id="galois-poset"),
+        pytest.param(SAMPLE_COMMANDS["closure.galois"], GALOIS.replace("le J: e s1", "le J e s1"),
+                     id="galois-le"),
+        pytest.param(SAMPLE_COMMANDS["closure.galois"], GALOIS.replace("F: e -> e", "F: e e"),
+                     id="galois-F"),
+        pytest.param(SAMPLE_COMMANDS["closure.galois"], GALOIS.replace("G: e -> e", "G: e e"),
+                     id="galois-G"),
+        pytest.param(SAMPLE_COMMANDS["closure.galois"], GALOIS.replace("le J: e s1", "le K: e s1"),
+                     id="galois-le-undeclared-poset"),
+        pytest.param(["cat", "equivalence", "--source", CATEGORY, "--target", CATEGORY, "-"],
+                     "functor\nob X Y\n", id="functor-ob"),
+        pytest.param(["cat", "equivalence", "--source", CATEGORY, "--target", CATEGORY, "-"],
+                     "functor\nob X -> X\nmor f f\n", id="functor-mor"),
+        pytest.param(["quiver", "info", "-"], "quiver\nvertex a\nvertex b\narrow a->b: 1\n",
+                     id="quiver-arrow-separators-swapped"),
+        pytest.param(["cat", "validate", "-"], "objects: i j\nmor i->j: X\n",
+                     id="category-mor-separators-swapped"),
+    ])
+    def test_pinned_malformed_lines_exit_2(self, args, text):
+        code, err = run_cli_with_stderr(args, text)
+        assert code == 2
+        assert err.startswith("error (malformed input): ") and err.count("\n") == 1
 
 
 class TestLargeScalarOutput:

@@ -19,7 +19,6 @@ from quivalg.linalg import (
     dual_map,
     full_subspace,
     products_within,
-    quotient_basis,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
@@ -31,7 +30,7 @@ from quivalg.linalg import (
     zero_vec,
 )
 
-from dense_oracles import kernel_intersect
+from dense_oracles import kernel_intersect, quotient_basis
 
 
 def sympy_rank(vectors, ambient):
