@@ -27,7 +27,6 @@ from .algebra import (
     IdempotentSet,
     RadicalFiltration,
     SCAlgebra,
-    build,
     direct_sum,
     group_algebra,
     is_basic,

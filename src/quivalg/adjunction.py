@@ -4,8 +4,10 @@ Vertices of the Gabriel Vquiver are inner-automorphism orbits of primitive
 idempotents; the orbit of e is keyed canonically by the image of e in A/J(A),
 which is a genuine invariant of the orbit and makes vertex maps computable
 without enumerating orbits.  Edge spaces are e(J/J^2)f with deterministic
-RREF-complement coset representatives; those representatives double as the
-section used to build the counit.
+RREF-complement coset representatives, found in one Peirce pass that forms
+e J once per idempotent e; those representatives double as the section used
+to build the counit, and ``_edge_matrix`` reads coordinates over them modulo
+J^2 for the unit and for GQ on maps.
 
 Morphisms of the quotient category are stored as (representative, depth)
 pairs; equality of classes is decided by the n-depth containment test.
@@ -45,7 +47,6 @@ from .linalg import (
     canonicalize,
     frac,
     is_zero_vec,
-    subspace_intersect,
     vec_add,
     vec_scale,
     zero_vec,
@@ -118,10 +119,8 @@ class GabrielVquiver:
     vquiver: Vquiver
     idempotents: IdempotentSet
     orbit_keys: tuple[Vec, ...]          # pi(e_i), canonical per orbit
-    corners: dict[tuple[int, int], Subspace]       # e_i J e_j
     edge_reps: dict[tuple[int, int], tuple[Vec, ...]]
     filtration: RadicalFiltration
-    quotient: SCAlgebra
     projection: AlgebraHom
 
     def vertex_of_key(self, key: Vec) -> int | None:
@@ -134,21 +133,23 @@ class GabrielVquiver:
         return {pair: len(reps) for pair, reps in self.edge_reps.items() if reps}
 
 
-def corner_subspace(a: SCAlgebra, e: Vec, f: Vec, space: Subspace) -> Subspace:
-    """Span of e x f over basis vectors x of the given subspace."""
-    return canonicalize(
-        [a.mul_vec(a.mul_vec(e, r), f) for r in space.basis_rows()], a.dim
-    )
+def _edge_reps(a: SCAlgebra, idems: Sequence[Vec],
+               filt: RadicalFiltration) -> dict[tuple[int, int], tuple[Vec, ...]]:
+    """RREF-completion representatives of e_i(J/J^2)e_j for each ordered pair.
 
-
-def _edge_basis(
-    a: SCAlgebra, e: Vec, f: Vec, filt: RadicalFiltration
-) -> tuple[Subspace, list[Vec]]:
-    """The corner e J f and RREF-completion representatives of e(J/J^2)f."""
-    corner = corner_subspace(a, e, f, filt.radical)
-    # r outside J^2 + span(kept) iff outside (corner ∩ J^2) + span(kept)
-    span = _Echelon(a.dim, filt.power(2))
-    return corner, [r for r in corner.basis_rows() if span.add(r)]
+    One Peirce pass: e r once per idempotent e and RREF row r of J, then
+    (e r) f per f.  A row of e J f is kept when outside J^2 + span(kept).
+    """
+    j2 = filt.power(2)
+    rows = filt.radical.basis_rows()
+    reps: dict[tuple[int, int], tuple[Vec, ...]] = {}
+    for i, e in enumerate(idems):
+        left = [a.mul_vec(e, r) for r in rows]
+        for k, f in enumerate(idems):
+            corner = canonicalize([a.mul_vec(x, f) for x in left], a.dim)
+            span = _Echelon(a.dim, j2)
+            reps[(i, k)] = tuple(r for r in corner.basis_rows() if span.add(r))
+    return reps
 
 
 def edge_dimension_matrix(a: SCAlgebra, idems: Sequence[Vec]) -> dict[tuple[Vec, Vec], int]:
@@ -157,13 +158,10 @@ def edge_dimension_matrix(a: SCAlgebra, idems: Sequence[Vec]) -> dict[tuple[Vec,
     Works for any complete set of primitive orthogonal idempotents, which is
     what makes the choice-independence property directly testable.
     """
-    filt = radical(a)
     _, proj = semisimple_quotient(a)
-    return {
-        (proj.apply(e), proj.apply(f)): len(_edge_basis(a, e, f, filt)[1])
-        for e in idems
-        for f in idems
-    }
+    keys = [proj.apply(e) for e in idems]
+    reps = _edge_reps(a, idems, radical(a))
+    return {(keys[i], keys[k]): len(r) for (i, k), r in reps.items()}
 
 
 @memoized
@@ -185,48 +183,35 @@ def gabriel_vquiver(a: SCAlgebra) -> GabrielVquiver:
         labels.append(b.basis_labels[pivot])
     if len(set(labels)) != n:
         labels = [f"v{i}" for i in range(n)]
-    corners: dict[tuple[int, int], Subspace] = {}
-    edge_reps: dict[tuple[int, int], tuple[Vec, ...]] = {}
-    edge_spaces: dict[tuple[str, str], list[str]] = {}
-    for i, e in enumerate(idems.idempotents):
-        for jdx, f in enumerate(idems.idempotents):
-            corner, reps = _edge_basis(a, e, f, filt)
-            corners[(i, jdx)] = corner
-            edge_reps[(i, jdx)] = tuple(reps)
-            if reps:
-                edge_spaces[(labels[i], labels[jdx])] = [
-                    f"ar_{i}_{jdx}_{k}" for k in range(len(reps))
-                ]
-    vq = validate_vquiver(labels, edge_spaces)
+    edge_reps = _edge_reps(a, idems.idempotents, filt)
+    edge_spaces = {(labels[i], labels[k]): [f"ar_{i}_{k}_{x}" for x in range(len(reps))]
+                   for (i, k), reps in edge_reps.items() if reps}
     return GabrielVquiver(
         algebra=a,
-        vquiver=vq,
+        vquiver=validate_vquiver(labels, edge_spaces),
         idempotents=idems,
         orbit_keys=keys,
-        corners=corners,
         edge_reps=edge_reps,
         filtration=filt,
-        quotient=b,
         projection=proj,
     )
 
 
-def _class_mod_j2(
-    gb: GabrielVquiver, pair: tuple[int, int], v: Vec
-) -> Vec:
-    """Coordinates of v over the chosen edge basis at pair, modulo J^2."""
+def _edge_matrix(gb: GabrielVquiver, pair: tuple[int, int], vectors: Sequence[Vec]) -> Matrix:
+    """Coordinates modulo J^2 over the chosen edge basis at pair, one column
+    per vector; the edge basis and J^2 are stacked once."""
     reps = gb.edge_reps.get(pair, ())
     j2 = gb.filtration.power(2)
     if not reps:
-        if not j2.contains_vector(v):
+        if not all(j2.contains_vector(v) for v in vectors):
             raise QuivalgError("element does not vanish in the zero edge space")
-        return ()
+        return Matrix.zero(0, len(vectors))
     rows = list(reps) + list(j2.basis_rows())
     stacked = Matrix(len(rows), gb.algebra.dim, rows).transpose()
-    sol = stacked.solve(v)
-    if sol is None:
+    cols = [stacked.solve(v) for v in vectors]
+    if None in cols:
         raise QuivalgError("element is outside its corner modulo J^2")
-    return tuple(sol[: len(reps)])
+    return Matrix(len(reps), len(vectors), list(zip(*cols))[: len(reps)])
 
 
 def gabriel_on_hom(
@@ -272,11 +257,7 @@ def gabriel_on_hom(
                     raise QuivalgError("collapsed edge does not vanish mod J^2")
             edge_maps[src_pair] = Matrix.zero(0, len(reps))
             continue
-        cols = [_class_mod_j2(gb, (ti, tj), alpha.apply(x)) for x in reps]
-        rows = len(gb.edge_reps.get((ti, tj), ()))
-        edge_maps[src_pair] = Matrix(
-            rows, len(reps), list(zip(*cols)) if rows else []
-        )
+        edge_maps[src_pair] = _edge_matrix(gb, (ti, tj), [alpha.apply(x) for x in reps])
     rho = VquiverMap(ga.vquiver, gb.vquiver, vertex_map, edge_maps)
     validate_vquiver_map(rho)
     if not rho.surjective:
@@ -311,13 +292,10 @@ def unit(vq: Vquiver) -> VquiverMap:
         vertex_of[v] = target
     edge_maps: dict[tuple[str, str], Matrix] = {}
     for (e, f), labs in vq.edge_labels.items():
-        pair = (vertex_of[e], vertex_of[f])
-        cols = [
-            _class_mod_j2(ga, pair, t.basis_vec(word_index[(e, (lab,))]))
-            for lab in labs
-        ]
-        rows = len(ga.edge_reps.get(pair, ()))
-        edge_maps[(e, f)] = Matrix(rows, len(labs), list(zip(*cols)) if rows else [])
+        edge_maps[(e, f)] = _edge_matrix(
+            ga, (vertex_of[e], vertex_of[f]),
+            [t.basis_vec(word_index[(e, (lab,))]) for lab in labs],
+        )
     eta = validate_vquiver_map(VquiverMap(vq, ga.vquiver, vertex_map, edge_maps))
     if not is_vquiver_iso(eta):
         raise QuivalgError("the unit failed to be a Vquiver isomorphism")
@@ -349,7 +327,8 @@ def _counit(a: SCAlgebra, section_rng: random.Random | None) -> NDepthClass:
     if not is_acyclic_vq(ga.vquiver).acyclic:
         raise CyclicInput("algebra is outside the acyclic class: GQ(A) has a cycle")
     t = path_algebra_vq(ga.vquiver)
-    j2 = ga.filtration.power(2)
+    idems = ga.idempotents.idempotents
+    j2_rows = ga.filtration.power(2).basis_rows()
     section: dict[str, Vec] = {}
     for (i, jdx), reps in ga.edge_reps.items():
         if not reps:
@@ -357,14 +336,15 @@ def _counit(a: SCAlgebra, section_rng: random.Random | None) -> NDepthClass:
         pair = (ga.vquiver.vertices[i], ga.vquiver.vertices[jdx])
         labs = ga.vquiver.edge_labels[pair]
         perturb_rows = ()
-        if section_rng is not None:
-            perturb_rows = subspace_intersect(ga.corners[(i, jdx)], j2).basis_rows()
+        if section_rng is not None:  # e J^2 f = e J f ∩ J^2, as x = e x f on the corner
+            perturb_rows = canonicalize([a.mul_vec(a.mul_vec(idems[i], r), idems[jdx])
+                                         for r in j2_rows], a.dim).basis_rows()
         for lab, rep in zip(labs, reps):
             image = rep
             for row in perturb_rows:
                 image = vec_add(image, vec_scale(frac(section_rng.randint(-3, 3)), row))
             section[lab] = image
-    vertex_images = dict(zip(ga.vquiver.vertices, ga.idempotents.idempotents))
+    vertex_images = dict(zip(ga.vquiver.vertices, idems))
     images = _path_images(t.paths, a, vertex_images, section)
     eps = hom_from_images(t, a, images)
     if not eps.surjective:

@@ -483,32 +483,6 @@ def _generator_span(a: SCAlgebra) -> Subspace:
     return canonicalize([a.basis_vec(g) for g in generating_set(a)], a.dim)
 
 
-BUILDER_KINDS = (
-    "matrix", "upper_triangular", "truncated_poly", "group_algebra",
-    "direct_sum", "from_path_algebra",
-)
-
-
-def build(kind: str, *params) -> SCAlgebra:
-    """Dispatch table over the named builders."""
-    from .quiver import path_algebra
-
-    kind = kind.replace("-", "_")
-    if kind == "matrix":
-        return matrix_algebra(int(params[0]))
-    if kind == "upper_triangular":
-        return upper_triangular(int(params[0]))
-    if kind == "truncated_poly":
-        return truncated_poly(int(params[0]))
-    if kind == "group_algebra":
-        return group_algebra(*params)
-    if kind == "direct_sum":
-        return direct_sum(*params)
-    if kind == "from_path_algebra":
-        return path_algebra(params[0])
-    raise QuivalgError(f"unknown builder kind {kind!r}; choose from {BUILDER_KINDS}")
-
-
 # ---------------------------------------------------------------------------
 # radical
 # ---------------------------------------------------------------------------
@@ -769,8 +743,8 @@ def center_subalgebra(a: SCAlgebra) -> tuple[SCAlgebra, Subspace]:
     unit_coords = space.coordinates_of(a.unit)
     if unit_coords is None:
         raise QuivalgError("unit is not central")
-    center = make_algebra(labels, table, unit_coords)
-    return center, space
+    # a unital subalgebra of an associative algebra is associative and unital
+    return SCAlgebra(space.dim, tuple(labels), table, unit_coords), space
 
 
 def is_connected(a: SCAlgebra) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import adjunction as adj
@@ -80,21 +81,37 @@ def _built_algebra(spec: str) -> alg.SCAlgebra:
     return _build_from_args(kind, [arg] if arg else [])
 
 
+def _size(text: str) -> int:
+    """A builder's size parameter: a positive decimal integer, no leading zero."""
+    if not re.fullmatch(r"[1-9][0-9]{0,600}", text):  # 600 digits: under any int() limit
+        raise FormatError(f"bad builder parameter {formats._shown(text)}: "
+                          "expected a positive integer")
+    return int(text)
+
+
 def _group_table(name: str):
     name = name.upper()
     if name.startswith("Z"):
-        return alg.cyclic_group_table(int(name[1:].lstrip("/"))), None
+        return alg.cyclic_group_table(_size(name[1:].lstrip("/"))), None
     if name == "S3":
         return alg.symmetric_group_table(3)
     raise FormatError(f"unknown group {name!r}; use Z<n> or S3")
 
 
+_SIZED_BUILDERS = {
+    "upper_triangular": alg.upper_triangular,
+    "matrix": alg.matrix_algebra,
+    "truncated_poly": alg.truncated_poly,
+}
+
+
 def _build_from_args(kind: str, params: list[str]) -> alg.SCAlgebra:
+    """The one dispatch from builder names to the algebra builders."""
     kind = kind.replace("-", "_")
-    if kind in ("upper_triangular", "matrix", "truncated_poly"):
+    if kind in _SIZED_BUILDERS:
         if len(params) != 1:
             raise FormatError(f"{kind} takes one integer parameter")
-        return alg.build(kind, int(params[0]))
+        return _SIZED_BUILDERS[kind](_size(params[0]))
     if kind == "group_algebra":
         if len(params) != 1:
             raise FormatError("group_algebra takes one group name (Z<n> or S3)")
@@ -105,6 +122,8 @@ def _build_from_args(kind: str, params: list[str]) -> alg.SCAlgebra:
             raise FormatError("direct_sum needs component specs like matrix:2")
         return alg.direct_sum(*[_built_algebra(s) for s in params])
     if kind == "mixed_demo":
+        if params:
+            raise FormatError("mixed_demo takes no parameter")
         return corpus.mixed_algebra()
     raise FormatError(
         f"unknown builder {kind!r}; use upper-triangular, matrix, truncated-poly, "

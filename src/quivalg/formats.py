@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import SCAlgebra, make_algebra
 from .bound import RelationSet, relation_set
@@ -93,8 +93,13 @@ def parse_lincomb(text: str) -> list[tuple[Fraction, str]]:
 
 
 def lincomb_to_text(vector: Sequence, labels: Sequence[str]) -> str:
+    return _terms_to_text(zip(vector, labels))
+
+
+def _terms_to_text(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """``c*label`` terms in the given order, zero coefficients skipped."""
     parts = []
-    for c, lab in zip(vector, labels):
+    for c, lab in terms:
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -193,14 +198,12 @@ def parse_algebra(text: str) -> SCAlgebra:
 
 
 def algebra_to_text(a: SCAlgebra) -> str:
-    out = [f"algebra dim {a.dim}", "basis: " + " ".join(a.basis_labels)]
-    out.append("unit: " + lincomb_to_text(a.unit, a.basis_labels))
+    labels = a.basis_labels
+    out = [f"algebra dim {a.dim}", "basis: " + " ".join(labels)]
+    out.append("unit: " + lincomb_to_text(a.unit, labels))
     for (i, j), entry in sorted(a.mult.items()):
-        vector = [entry.get(k, Fraction(0)) for k in range(a.dim)]
-        out.append(
-            f"mul {a.basis_labels[i]} {a.basis_labels[j]} = "
-            + lincomb_to_text(vector, a.basis_labels)
-        )
+        terms = _terms_to_text((entry[k], labels[k]) for k in sorted(entry))
+        out.append(f"mul {labels[i]} {labels[j]} = {terms}")
     return "\n".join(out) + "\n"
 
 

@@ -8,12 +8,14 @@ move an algebra to another basis for those tests.
 
 from fractions import Fraction
 
+from quivalg import adjunction as adj
 from quivalg import algebra as alg
 from quivalg.errors import QuivalgError, ValidationError
 from quivalg.linalg import (
     Matrix, _check_same_ambient, _Echelon, canonicalize, is_zero_vec, subspace_contains,
-    vec_add, vec_scale, zero_subspace, zero_vec,
+    subspace_intersect, vec_add, vec_scale, zero_subspace, zero_vec,
 )
+from quivalg.vquiver import _path_images, path_algebra_vq
 
 
 def vstack(ms):
@@ -186,3 +188,50 @@ def kernel_intersect(u, w):
                 v = vec_add(v, vec_scale(c, row))
         vectors.append(v)
     return canonicalize(vectors, u.ambient_dim)
+
+
+def corner_subspace(a, e, f, space):
+    """Span of e x f over basis vectors x of the given subspace."""
+    return canonicalize(
+        [a.mul_vec(a.mul_vec(e, r), f) for r in space.basis_rows()], a.dim
+    )
+
+
+def corner_edge_reps(a, idems, filt):
+    """Edge representatives from a corner_subspace per ordered pair, each
+    corner forming e r anew for every f."""
+    j2 = filt.power(2)
+    reps = {}
+    for i, e in enumerate(idems):
+        for k, f in enumerate(idems):
+            corner = corner_subspace(a, e, f, filt.radical)
+            span = _Echelon(a.dim, j2)
+            reps[(i, k)] = tuple(r for r in corner.basis_rows() if span.add(r))
+    return reps
+
+
+def corner_counit_matrices(a, rngs):
+    """The matrix of counit(a, rng) per rng, built on stored corners: each
+    representative moves inside e J f ∩ J^2, formed by a Zassenhaus pass."""
+    ga = adj.gabriel_vquiver(a)
+    idems = ga.idempotents.idempotents
+    j2 = ga.filtration.power(2)
+    edges = []
+    for (i, k), reps in corner_edge_reps(a, idems, ga.filtration).items():
+        if reps:
+            corner = corner_subspace(a, idems[i], idems[k], ga.filtration.radical)
+            labs = ga.vquiver.edge_labels[(ga.vquiver.vertices[i], ga.vquiver.vertices[k])]
+            edges.append((labs, reps, subspace_intersect(corner, j2).basis_rows()))
+    t = path_algebra_vq(ga.vquiver)
+    vertex_images = dict(zip(ga.vquiver.vertices, idems))
+    out = []
+    for rng in rngs:
+        section = {}
+        for labs, reps, perturb in edges:
+            for lab, rep in zip(labs, reps):
+                for row in perturb:
+                    rep = vec_add(rep, vec_scale(Fraction(rng.randint(-3, 3)), row))
+                section[lab] = rep
+        images = _path_images(t.paths, a, vertex_images, section)
+        out.append(Matrix(a.dim, t.dim, list(zip(*images))))
+    return out

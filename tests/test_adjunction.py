@@ -18,12 +18,14 @@ from quivalg.vquiver import (
     compose_vquiver_maps,
     identity_vquiver_map,
     induced_hom,
+    is_acyclic_vq,
     is_vquiver_iso,
     validate_vquiver,
     vquiver_maps_equal,
 )
 from dense_oracles import (
-    dense_upper_triangular, kernel_intersect, lu_matrix, quotient_basis, transport,
+    corner_counit_matrices, corner_edge_reps, corner_subspace, dense_upper_triangular,
+    kernel_intersect, lu_matrix, quotient_basis, transport,
 )
 
 
@@ -138,25 +140,63 @@ class TestGabriel:
             adj.gabriel_vquiver(alg.matrix_algebra(2))
 
 
+@pytest.fixture(scope="module")
+def dense_un():
+    """Dense U_3, U_4, U_5, shared so their memoized Gabriel data is built once."""
+    rng = random.Random(5)
+    return [(f"dense-U{n}", dense_upper_triangular(n, rng)) for n in (3, 4, 5)]
+
+
 class TestEdgeSpaces:
-    def test_edge_reps_against_kernel_oracle(self):
-        rng = random.Random(5)
-        cases = list(corpus.corpus_basic())
-        cases += [(f"dense-U{n}", dense_upper_triangular(n, rng)) for n in (3, 4, 5)]
-        for name, a in cases:
+    def test_edge_reps_against_kernel_oracle(self, dense_un):
+        for name, a in list(corpus.corpus_basic()) + dense_un:
             ga = adj.gabriel_vquiver(a)
             j, j2 = ga.filtration.radical, ga.filtration.power(2)
             idems = ga.idempotents.idempotents
             for i, e in enumerate(idems):
                 for k, f in enumerate(idems):
-                    corner = adj.corner_subspace(a, e, f, j)
-                    assert ga.corners[(i, k)] == corner, (name, i, k)
+                    corner = corner_subspace(a, e, f, j)
                     want = quotient_basis(corner, kernel_intersect(corner, j2))
                     assert list(ga.edge_reps[(i, k)]) == want, (name, i, k)
             keys = ga.orbit_keys
             assert adj.edge_dimension_matrix(a, idems) == {
                 (keys[i], keys[k]): len(reps) for (i, k), reps in ga.edge_reps.items()
             }, name
+
+    def test_edge_pass_forms_each_left_product_once(self, monkeypatch):
+        # dense U_4: k = 4 idempotents, dim J = 6; e r once per (e, r) and
+        # (e r) f per f gives 4 * 6 + 16 * 6 = 120 products, where a corner
+        # per pair forming e r anew gives 2 * 16 * 6 = 192
+        a = dense_upper_triangular(4, random.Random(7))
+        filt = alg.radical(a)
+        idems = alg.lift_idempotents(a).idempotents
+        assert (len(idems), filt.radical.dim) == (4, 6)
+        calls = []
+        mul_vec = alg.SCAlgebra.mul_vec
+
+        def counted(self, x, y):
+            calls.append(1)
+            return mul_vec(self, x, y)
+
+        monkeypatch.setattr(alg.SCAlgebra, "mul_vec", counted)
+        reps = adj._edge_reps(a, idems, filt)
+        assert len(calls) == 120
+        calls.clear()
+        assert corner_edge_reps(a, idems, filt) == reps
+        assert len(calls) == 192
+
+    def test_edge_reps_and_seeded_counits_match_corner_path(self, dense_un):
+        cases = list(corpus.corpus_basic()) + list(corpus.corpus_sbalg_ac()) + dense_un
+        for name, a in cases:
+            ga = adj.gabriel_vquiver(a)
+            idems = ga.idempotents.idempotents
+            assert ga.edge_reps == corner_edge_reps(a, idems, ga.filtration), name
+            if not is_acyclic_vq(ga.vquiver).acyclic:
+                continue
+            want = corner_counit_matrices(a, [random.Random(seed) for seed in range(3)])
+            for seed in range(3):
+                got = adj.counit(a, random.Random(seed)).representative.matrix
+                assert got == want[seed], (name, seed)
 
 
 class TestGabrielOnHom:
@@ -264,15 +304,21 @@ class TestUnitCounit:
             # different objects, same table: compare through matrices
             assert adj.ndepth_equivalent(base.representative, other.representative, 1)
 
-    def test_canonical_counit_does_not_intersect(self, monkeypatch):
-        a = corpus.a3_bound_algebra()[0]
+    def test_canonical_counit_forms_no_j2_corner(self, monkeypatch):
+        # e_1 J e_3 meets J^2 on the path algebra of a -> b plus c: 1 -> 3
+        q = validate_quiver(
+            ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")]
+        )
+        a = path_algebra(q)
         adj.gabriel_vquiver(a)
 
-        def refuse(u, w):
-            raise AssertionError("the canonical counit intersected subspaces")
+        def refuse(vectors, n):
+            raise AssertionError("the counit formed a J^2 corner")
 
-        monkeypatch.setattr(adj, "subspace_intersect", refuse)
+        monkeypatch.setattr(adj, "canonicalize", refuse)
         assert adj.counit(a).representative.surjective
+        with pytest.raises(AssertionError, match="J\\^2 corner"):
+            adj.counit(a, section_rng=random.Random(0))
 
     def test_seeded_section_perturbs_inside_j2(self):
         # e_1 J e_3 = span{c, ab} meets J^2 = span{ab}, so the section of c

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import quivalg
 from quivalg import algebra as alg
-from quivalg import adjunction, bound, corpus
+from quivalg import adjunction, bound, corpus, formats
+from quivalg.cli import main
 from quivalg.errors import (
     CyclicInput, DimensionMismatch, NotBasicError, NotSplitOverQQ, QuivalgError,
     ValidationError,
@@ -94,9 +95,13 @@ class TestBuilders:
         assert a.dim == 6
         assert not alg.is_connected(a)
 
-    def test_builder_dispatch(self):
-        assert alg.build("upper-triangular", 3).dim == 6
-        assert alg.build("truncated_poly", 4).dim == 4
+    def test_builder_dispatch(self, capsys):
+        # the CLI is the one dispatch from builder names to builders
+        for argv, want in ((["upper-triangular", "3"], alg.upper_triangular(3)),
+                           (["truncated_poly", "4"], alg.truncated_poly(4))):
+            assert main(["algebra", "build", *argv]) == 0
+            built = formats.parse_algebra(capsys.readouterr().out)
+            assert alg.same_table(built, want) and built.basis_labels == want.basis_labels
 
 
 class TestRadical:
@@ -845,6 +850,23 @@ def test_center_from_generators_matches_the_full_basis_stack():
     for a in algebras:
         assert alg.center_subalgebra(a)[1] == full_basis_center(a)
     assert len(alg.generating_set(kq)) < kq.dim
+
+
+def test_center_is_built_without_a_second_validation(monkeypatch):
+    """Closure and the unit are checked in center_subalgebra; associativity
+    and the unit laws are inherited, and validate_algebra is the oracle."""
+    def refuse(*args):
+        raise AssertionError("the center was validated again")
+
+    algebras = [a for _, a in corpus.corpus_basic()]
+    with monkeypatch.context() as m:
+        m.setattr(alg, "make_algebra", refuse)
+        m.setattr(alg, "validate_algebra", refuse)
+        centers = [alg.center_subalgebra(a)[0] for a in algebras]
+    for center in centers:
+        assert alg.validate_algebra(center) is center
+        again = alg.make_algebra(center.basis_labels, center.mult, center.unit)
+        assert alg.same_table(again, center) and again.unit == center.unit
 
 
 def test_center_read_off_the_table_is_literally_the_dense_stack():

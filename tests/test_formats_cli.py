@@ -21,6 +21,8 @@ from quivalg.errors import FormatError, ValidationError
 from quivalg.quiver import validate_quiver
 from quivalg.vquiver import validate_vquiver
 
+from dense_oracles import lu_matrix, transport
+
 
 class TestScalarsAndLincombs:
     def test_scalar_forms(self):
@@ -87,6 +89,29 @@ class TestRoundTrips:
             again = formats.parse_algebra(formats.algebra_to_text(a))
             assert alg.same_table(again, a)
             assert again.basis_labels == a.basis_labels
+
+    def test_algebra_text_matches_the_dense_expansion(self):
+        def dense_text(a):
+            out = [f"algebra dim {a.dim}", "basis: " + " ".join(a.basis_labels)]
+            out.append("unit: " + formats.lincomb_to_text(a.unit, a.basis_labels))
+            for (i, j), entry in sorted(a.mult.items()):
+                vector = [entry.get(k, Fraction(0)) for k in range(a.dim)]
+                out.append(f"mul {a.basis_labels[i]} {a.basis_labels[j]} = "
+                           + formats.lincomb_to_text(vector, a.basis_labels))
+            return "\n".join(out) + "\n"
+
+        p = lu_matrix(6, [1, -2] * 7 + [3], [2, 0, -1] * 5, [1, 2, -1, 1, -2, 1])
+        dense = transport(alg.upper_triangular(3), p)
+        # the same table with every entry's keys stored in descending order
+        shuffled = alg.SCAlgebra(dense.dim, dense.basis_labels, {
+            key: dict(sorted(entry.items(), reverse=True)) for key, entry in dense.mult.items()
+        }, dense.unit)
+        assert any(list(e) != sorted(e) for e in shuffled.mult.values())
+        algebras = [a for _, a in corpus.corpus_basic()] + [
+            dense, shuffled, alg.truncated_poly(9), bound.bound_algebra(corpus.a3_bound_algebra()[1])[0]]
+        for a in algebras:
+            assert formats.algebra_to_text(a) == dense_text(a)
+        assert formats.algebra_to_text(shuffled) == formats.algebra_to_text(dense)
 
     def test_bound_algebra_with_path_labels(self):
         b, _ = bound.bound_algebra(corpus.a3_bound_algebra()[1])
@@ -499,6 +524,48 @@ class TestMalformedLines:
         code, err = run_cli_with_stderr(args, text)
         assert code == 2
         assert err.startswith("error (malformed input): ") and err.count("\n") == 1
+
+
+class TestBuilderParameters:
+    @pytest.mark.parametrize("params, want", [
+        (["upper-triangular", "3"], 0),
+        (["matrix", "2"], 0),
+        (["truncated_poly", "4"], 0),
+        (["group-algebra", "Z3"], 0),
+        (["group-algebra", "z/3"], 0),
+        (["group-algebra", "S3"], 0),
+        (["direct-sum", "matrix:2", "truncated-poly:3"], 0),
+        (["mixed-demo"], 0),
+        ([], 2),
+        (["upper-triangular"], 2),
+        (["upper-triangular", "x"], 2),
+        (["upper-triangular", "0"], 2),
+        (["upper-triangular", "-1"], 2),
+        (["upper-triangular", "1.5"], 2),
+        (["upper-triangular", " 3"], 2),
+        (["upper-triangular", "3", "4"], 2),
+        (["matrix", "9" * 5000], 2),
+        (["truncated-poly", ""], 2),
+        (["group-algebra"], 2),
+        (["group-algebra", "Zq"], 2),
+        (["group-algebra", "Z0"], 2),
+        (["group-algebra", "S4"], 2),
+        (["group-algebra", "Z3", "Z4"], 2),
+        (["direct-sum"], 2),
+        (["direct-sum", "matrix:x"], 2),
+        (["direct-sum", "matrix"], 2),
+        (["direct-sum", "nope:2"], 2),
+        (["mixed-demo", "3"], 2),
+        (["nope", "3"], 2),
+    ])
+    def test_build_forms_exit_0_or_2_without_traceback(self, params, want):
+        code, err = run_cli_with_stderr(["algebra", "build", *params], "")
+        assert code == want
+        if want:
+            assert err.startswith("error (malformed input): ") and err.count("\n") == 1
+            assert len(err) < 200
+        else:
+            assert err == ""
 
 
 class TestLargeScalarOutput:
